@@ -131,7 +131,7 @@ def _interval_json(iv) -> list:
 
 def _emit(payload, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(payload, separators=(",", ":")))
+        click.echo(json.dumps(payload, separators=(",", ":"), allow_nan=False))
         return
     # key,value lines; lists joined with ';'
     if not isinstance(payload, dict):
@@ -417,7 +417,7 @@ def vortex_sweep(
         for r in rows
     ]
     if fmt == "json":
-        click.echo(json.dumps(records, separators=(",", ":")))
+        click.echo(json.dumps(records, separators=(",", ":"), allow_nan=False))
     else:
         click.echo("sigma,feasible,residual_sup,iterations,status")
         for rec in records:

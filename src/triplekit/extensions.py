@@ -22,9 +22,8 @@ from .invariants import (
     Rational,
     SubtripleInvariants,
     TripleInvariants,
-    dual_invariants,
 )
-from .stability import mu_sigma, sigma_from_tau, tau_from_sigma, tau_prime, theta_tau
+from .stability import mu_sigma, tau_from_sigma, tau_prime, theta_tau
 
 
 @dataclass(frozen=True)
@@ -114,11 +113,6 @@ def dual_parameter(T: TripleInvariants, tau: Rational) -> Rational:
     """Parameter value the duality involution pairs with tau.
 
     Returns -tau_prime(T, tau).  The defining property is that the sigma
-    computed from (T, tau) and from (dual, -tau') coincide; this is an
-    exact identity and is re-checked on every call.
+    computed from (T, tau) and from (dual, -tau') coincide.
     """
-    tau = Fraction(tau)
-    dual_tau = -tau_prime(T, tau)
-    # cheap exact self-check of the involution's parameter bookkeeping
-    assert sigma_from_tau(dual_invariants(T), dual_tau) == sigma_from_tau(T, tau)
-    return dual_tau
+    return -tau_prime(T, Fraction(tau))

@@ -30,6 +30,7 @@ infeasible.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +38,6 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .invariants import ConstraintViolationError
 
@@ -135,8 +135,10 @@ class ConstantProfile(PhiProfile):
     level: float
 
     def __post_init__(self) -> None:
-        if self.level <= 0:
-            raise ValueError(f"constant profile level must be > 0, got {self.level}")
+        if not (math.isfinite(self.level) and self.level > 0):
+            raise ValueError(
+                f"constant profile level must be finite and > 0, got {self.level}"
+            )
 
     def sample(self, grid: TorusGrid) -> np.ndarray:
         return np.full(grid.shape, float(self.level))
@@ -151,8 +153,10 @@ class CosineProfile(PhiProfile):
     amplitude: float
 
     def __post_init__(self) -> None:
-        if self.level <= 0:
-            raise ValueError(f"cosine profile level must be > 0, got {self.level}")
+        if not (math.isfinite(self.level) and self.level > 0):
+            raise ValueError(
+                f"cosine profile level must be finite and > 0, got {self.level}"
+            )
         if not 0 <= self.amplitude < self.level:
             raise ValueError(
                 f"cosine amplitude must satisfy 0 <= amplitude < level, "
@@ -220,6 +224,8 @@ def build_problem(
     tau + tau_prime = d1 + d2 (trace condition, rank-one case) and
     tau - tau_prime = sigma.
     """
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     grid = TorusGrid(n)
     tau = 0.5 * (d1 + d2 + sigma)
     tp = 0.5 * (d1 + d2 - sigma)
@@ -250,11 +256,6 @@ def residual(p: VortexProblem, u1: np.ndarray, u2: np.ndarray) -> ResidualReport
     return ResidualReport(res1=res1, res2=res2, sup=sup, l2=l2)
 
 
-def moment_map_norm(p: VortexProblem, u1: np.ndarray, u2: np.ndarray) -> float:
-    """L2 norm of the full residual pair; zero exactly at solutions."""
-    return residual(p, u1, u2).l2
-
-
 @dataclass(frozen=True, eq=False)
 class ScalarReduction:
     """Reduction of the coupled system to one scalar equation.
@@ -265,7 +266,6 @@ class ScalarReduction:
     """
 
     difference_rhs: np.ndarray
-    trace_consistent: bool
 
 
 def reduce_to_scalar(p: VortexProblem) -> ScalarReduction:
@@ -284,7 +284,7 @@ def reduce_to_scalar(p: VortexProblem) -> ScalarReduction:
             f"but d1 + d2 = {p.d1 + p.d2}"
         )
     rhs0 = TWO_PI * (p.d1 - p.d2) - TWO_PI * p.sigma + 2.0 * p.phi_sq
-    return ScalarReduction(difference_rhs=rhs0, trace_consistent=True)
+    return ScalarReduction(difference_rhs=rhs0)
 
 
 class SolveStatus(str, Enum):
@@ -320,31 +320,40 @@ def _newton_direction(
     diag = 4*phi_sq*e^{2v} >= 0 with positive mean, so the operator is
     symmetric positive definite; the preconditioner inverts -lap + mean(diag)
     spectrally, which tracks the diagonal as it decays and keeps the
-    conditioning bounded during infeasible drifts.
+    conditioning bounded during infeasible drifts.  The loop runs on the
+    n-by-n fields, from delta = 0, until |r| < 1e-10 |G| or 400 iterations.
     """
-    n = grid.n
-    N = n * n
-    mult = _laplacian_multiplier(n)
+    mult = _laplacian_multiplier(grid.n)
     diag = np.maximum(diag, DIAG_FLOOR)
     dbar = float(diag.mean())
-
-    def matvec(w: np.ndarray) -> np.ndarray:
-        w2 = w.reshape(n, n)
-        return (-grid.laplacian(w2) + diag * w2).ravel()
-
-    def precond(z: np.ndarray) -> np.ndarray:
-        z2 = z.reshape(n, n)
-        return np.fft.ifft2(np.fft.fft2(z2) / (-mult + dbar)).real.ravel()
-
-    A = LinearOperator((N, N), matvec=matvec, dtype=np.float64)
-    M = LinearOperator((N, N), matvec=precond, dtype=np.float64)
+    x = np.zeros_like(G)
     with np.errstate(all="ignore"):
-        x, _info = cg(A, G.ravel(), rtol=1e-10, atol=0.0, maxiter=400, M=M)
+        g_norm = np.linalg.norm(G)
+        if g_norm == 0:
+            return x
+        stop = 1e-10 * float(g_norm)
+        r = G.copy()
+        rho_prev = None
+        for _ in range(400):
+            if np.linalg.norm(r) < stop:
+                break
+            z = np.fft.ifft2(np.fft.fft2(r) / (-mult + dbar)).real
+            rho = np.dot(r.ravel(), z.ravel())
+            if rho_prev is None:
+                p = z.copy()
+            else:
+                p *= rho / rho_prev
+                p += z
+            q = -grid.laplacian(p) + diag * p
+            alpha = rho / np.dot(p.ravel(), q.ravel())
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
     # a partially converged direction is still a descent direction; junk
     # directions are caught by the line search and the stall certificate
     if not np.isfinite(x).all():
         return None
-    return x.reshape(n, n)
+    return x
 
 
 def _package(
@@ -381,6 +390,8 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
     from being declared a solution (the drift then runs into the blow-up
     certificate instead).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     reduce_to_scalar(p)
     grid = p.grid
     phi = p.phi_sq
@@ -515,6 +526,8 @@ def sweep_sigma(
     reported as warnings, never exceptions: the table itself is the result.
     """
     sig = [float(s) for s in sigmas]
+    if not all(math.isfinite(s) for s in sig):
+        raise ValueError(f"sigmas must be finite, got {sig}")
     if sig != sorted(sig):
         raise ValueError("sigmas must be sorted ascending")
     rows: List[SweepRow] = []
@@ -587,7 +600,7 @@ def solve_diagonal(
     for i, prob in enumerate(problems):
         try:
             sol = solve(prob, tol=tol, max_iter=max_iter)
-        except Exception as exc:
+        except ValueError as exc:
             solutions.append(None)
             errors.append((i, str(exc)))
             failed.append(i)
@@ -607,13 +620,11 @@ def write_fields_csv(path: str, p: VortexProblem, s: VortexSolution) -> None:
     """Row-major field snapshot with header x,y,u1,u2,res1,res2."""
     rep = residual(p, s.u1, s.u2)
     x, y = p.grid.coords()
-    cols = (x, y, s.u1, s.u2, rep.res1, rep.res2)
-    with open(path, "w") as fh:
-        fh.write("x,y,u1,u2,res1,res2\n")
-        n = p.grid.n
-        for i in range(n):
-            for j in range(n):
-                fh.write(",".join(f"{c[i, j]:.17g}" for c in cols) + "\n")
+    cols = [c.ravel() for c in (x, y, s.u1, s.u2, rep.res1, rep.res2)]
+    np.savetxt(
+        path, np.column_stack(cols), fmt="%.17g", delimiter=",",
+        header="x,y,u1,u2,res1,res2", comments="",
+    )
 
 
 def summary_json(p: VortexProblem, s: VortexSolution) -> dict:

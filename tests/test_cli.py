@@ -179,6 +179,23 @@ def test_vortex_solve_rejects_bad_grid_and_profile(runner):
     res = runner.invoke(main, ["vortex-solve", "--n", "32", "--d1", "0", "--d2", "0",
                                "--sigma", "1", "--profile", "cosine:1:2"])
     assert res.exit_code == 2
+    # non-finite numbers and a tolerance <= 0 are input errors, not verdicts
+    base = ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0"]
+    for args in (
+        ["--sigma", "nan", "--profile", "constant:1"],
+        ["--sigma", "inf", "--profile", "constant:1"],
+        ["--sigma", "1", "--profile", "constant:nan"],
+        ["--sigma", "1", "--profile", "constant:inf"],
+        ["--sigma", "1", "--profile", "cosine:nan:0.5"],
+        ["--sigma", "1", "--profile", "cosine:1:nan"],
+        ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "-1"],
+        ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "0"],
+        ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "nan"],
+        ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "inf"],
+    ):
+        res = runner.invoke(main, base + args)
+        assert res.exit_code == 2, args
+        assert res.stdout == "", args
 
 
 def test_vortex_sweep_json(runner):
@@ -218,6 +235,11 @@ def test_vortex_sweep_rejects_unsorted_and_garbage(runner):
     res = runner.invoke(main, ["vortex-sweep", "--n", "32", "--d1", "0", "--d2", "0",
                                "--sigmas", "a,b", "--profile", "constant:1"])
     assert res.exit_code == 2
+    for sigmas in ("1,nan,2", "nan", "1,inf", "-inf,1"):
+        res = runner.invoke(main, ["vortex-sweep", "--n", "16", "--d1", "0", "--d2", "0",
+                                   "--sigmas", sigmas, "--profile", "constant:1"])
+        assert res.exit_code == 2, sigmas
+        assert res.stdout == "", sigmas
 
 
 def test_malformed_triples_exit_two(runner):

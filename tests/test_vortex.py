@@ -1,9 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import triplekit
 from triplekit import (
     ConstantProfile,
     ConstraintViolationError,
@@ -16,7 +20,6 @@ from triplekit import (
     ZeroProfile,
     build_problem,
     integral_identity_check,
-    moment_map_norm,
     reduce_to_scalar,
     residual,
     solve,
@@ -25,7 +28,7 @@ from triplekit import (
     sweep_sigma,
     write_fields_csv,
 )
-from triplekit.vortex import TWO_PI
+from triplekit.vortex import DIAG_FLOOR, TWO_PI, _newton_direction
 
 from conftest import smooth_field
 
@@ -59,6 +62,13 @@ def test_profile_validation():
         CosineProfile(1.0, -0.1)
     with pytest.raises(ValueError):
         CosineProfile(0.0, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ConstantProfile(bad)
+        with pytest.raises(ValueError):
+            CosineProfile(bad, 0.5)
+        with pytest.raises(ValueError):
+            CosineProfile(1.0, bad)
     grid = TorusGrid(16)
     assert np.all(ZeroProfile().sample(grid) == 0.0)
     assert np.all(CosineProfile(2.0, 0.5).sample(grid) > 0.0)
@@ -112,6 +122,9 @@ def test_build_problem_parameters():
     assert p.c1 == TWO_PI and p.c2 == 0.0
     with pytest.raises(ValueError):
         build_problem(15, 0, 0, 1.0, ConstantProfile(1.0))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            build_problem(16, 0, 0, bad, ConstantProfile(1.0))
 
 
 def test_residual_exact_zero_at_constant_solution():
@@ -120,13 +133,12 @@ def test_residual_exact_zero_at_constant_solution():
     z = np.zeros(p.grid.shape)
     rep = residual(p, z, z)
     assert rep.sup == 0.0 and rep.l2 == 0.0
-    assert moment_map_norm(p, z, z) == 0.0
 
 
 def test_residual_value_away_from_solution():
     p = build_problem(64, 0, 0, 2.0, ConstantProfile(float(np.pi)))
     z = np.zeros(p.grid.shape)
-    assert moment_map_norm(p, z, z) == pytest.approx(np.pi * np.sqrt(2.0), abs=1e-14)
+    assert residual(p, z, z).l2 == pytest.approx(np.pi * np.sqrt(2.0), abs=1e-14)
     assert residual(p, z, z).sup == pytest.approx(np.pi, abs=1e-14)
 
 
@@ -163,7 +175,6 @@ def test_residual_shape_check():
 def test_reduce_to_scalar_rhs():
     p = build_problem(32, 1, 0, 2.0, ConstantProfile(0.5))
     red = reduce_to_scalar(p)
-    assert red.trace_consistent
     assert np.all(red.difference_rhs == 1.0 - TWO_PI)
     # integral budget: mean rhs = 2*pi*(d1-d2-sigma) + 2*mean(phi)
     assert p.grid.integrate(red.difference_rhs) == pytest.approx(
@@ -293,12 +304,12 @@ def test_gradient_flow_decreases_moment_map_norm():
     p = build_problem(16, 0, 0, 2.0, ConstantProfile(float(np.pi)))
     u1 = smooth_field(16, 1, 0.02, rng)
     u2 = smooth_field(16, 1, 0.02, rng)
-    norms = [moment_map_norm(p, u1, u2)]
+    norms = [residual(p, u1, u2).l2]
     for _ in range(20):
         rep = residual(p, u1, u2)
         u1 = u1 - 1e-3 * rep.res1
         u2 = u2 - 1e-3 * rep.res2
-        norms.append(moment_map_norm(p, u1, u2))
+        norms.append(residual(p, u1, u2).l2)
     gaps = [a - b for a, b in zip(norms, norms[1:])]
     assert min(gaps) > 0.01
 
@@ -316,6 +327,8 @@ def test_sweep_crosses_threshold():
 def test_sweep_rejects_unsorted():
     with pytest.raises(ValueError):
         sweep_sigma(32, 0, 0, ConstantProfile(1.0), [1.0, 0.5])
+    with pytest.raises(ValueError, match="sigmas must be finite"):
+        sweep_sigma(16, 0, 0, ConstantProfile(1.0), [1.0, float("nan"), 2.0])
 
 
 def test_sweep_warns_on_indeterminate():
@@ -355,6 +368,16 @@ def test_solve_diagonal_collects_failures_and_errors():
     assert rep[0].feasible and not rep[2].feasible
 
 
+def test_solve_diagonal_propagates_programming_errors():
+    # only ValueError (which covers InvariantError) is a component verdict;
+    # a TypeError is a bug and must not be filed as a failed component
+    grid = TorusGrid(16)
+    garbled = VortexProblem(grid=grid, d1=0, d2=0, tau="1", tau_prime=0.0,
+                            phi_sq=np.ones(grid.shape))
+    with pytest.raises(TypeError):
+        solve_diagonal([build_problem(16, 0, 0, 1.5, ConstantProfile(1.0)), garbled])
+
+
 def test_write_fields_csv(tmp_path):
     p = build_problem(16, 0, 0, 1.0, ConstantProfile(float(np.pi)))
     s = solve(p)
@@ -368,6 +391,19 @@ def test_write_fields_csv(tmp_path):
     assert float(rows[1][0]) == 0.0 and float(rows[1][1]) == 0.0
     assert float(rows[2][1]) == 1.0 / 16
     assert all(float(c) == 0.0 for c in rows[1][4:])
+    # byte-for-byte the header plus one "%.17g" row per cell, row-major
+    p = build_problem(16, 1, 0, 2.0, CosineProfile(2.0, 0.7))
+    s = solve(p)
+    write_fields_csv(str(out), p, s)
+    rep = residual(p, s.u1, s.u2)
+    x, y = p.grid.coords()
+    cols = (x, y, s.u1, s.u2, rep.res1, rep.res2)
+    expected = "x,y,u1,u2,res1,res2\n" + "".join(
+        ",".join(f"{c[i, j]:.17g}" for c in cols) + "\n"
+        for i in range(16)
+        for j in range(16)
+    )
+    assert out.read_bytes() == expected.encode()
 
 
 def test_summary_json_key_set():
@@ -381,9 +417,50 @@ def test_summary_json_key_set():
     assert d["sigma"] == 2.0 and d["d1"] == 1 and d["feasible"] is True
 
 
-def test_moment_map_norm_is_residual_l2():
-    p = build_problem(32, 1, 0, 1.5, CosineProfile(2.0, 0.5))
-    rng = np.random.default_rng(55)
-    u1 = smooth_field(32, 2, 0.3, rng)
-    u2 = smooth_field(32, 2, 0.3, rng)
-    assert moment_map_norm(p, u1, u2) == residual(p, u1, u2).l2
+def _dense_operator(grid, diag):
+    """Column-by-column matrix of delta -> -lap(delta) + diag*delta."""
+    n = grid.n
+    A = np.empty((n * n, n * n))
+    for k in range(n * n):
+        e = np.zeros(n * n)
+        e[k] = 1.0
+        e = e.reshape(n, n)
+        A[:, k] = (-grid.laplacian(e) + diag * e).ravel()
+    return A
+
+
+def test_newton_direction_matches_dense_solve():
+    grid = TorusGrid(16)
+    x, _ = grid.coords()
+    rng = np.random.default_rng(31)
+    decaying = np.logspace(-8.0, 0.0, 16 * 16).reshape(grid.shape)
+    # zero on half the torus, as where the coupling vanishes: the floor
+    # lifts those cells to DIAG_FLOOR; an all-floor diagonal would leave the
+    # dense reference numerically singular (condition number ~1e32)
+    floored = np.where(x < 0.5, 0.0, 1.0)
+    for diag in (decaying, floored):
+        A = _dense_operator(grid, np.maximum(diag, DIAG_FLOOR))
+        for _ in range(3):
+            G = rng.standard_normal(grid.shape)
+            ref = np.linalg.solve(A, G.ravel()).reshape(grid.shape)
+            got = _newton_direction(grid, diag, G)
+            rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+            assert rel < 1e-8
+    zero = np.zeros(grid.shape)
+    assert np.all(_newton_direction(grid, decaying, zero) == 0.0)
+
+
+def test_import_and_solve_do_not_load_scipy():
+    code = (
+        "import sys, triplekit\n"
+        "s = triplekit.solve(triplekit.build_problem("
+        "16, 0, 0, 2.0, triplekit.ConstantProfile(3.14159)))\n"
+        "assert s.feasible\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(triplekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
