@@ -82,44 +82,43 @@ class ChamberDecomposition:
     coprime_generic: bool
 
 
-def _degree_range(rp: int, d: int, window: int):
-    # rank-zero slot carries degree zero; otherwise the window caps |d'|
-    # and a subobject's degree never exceeds the ambient degree
-    if rp == 0:
-        return (0,)
-    return range(-window, min(window, d) + 1)
+def _wall_equations(T: TripleInvariants, window: int):
+    # (r2p, denom, range of S) per rank pair whose theta depends on tau; a
+    # rank-zero slot has degree 0, any other runs over -window..min(window, d)
+    if window < 1:
+        raise ValueError(f"degree_window must be >= 1, got {window}")
+    for r1p in range(T.r1 + 1):
+        for r2p in range(T.r2 + 1):
+            denom = T.r2 * r1p - T.r1 * r2p
+            if denom == 0:
+                continue
+            tops = [min(window, d) for rp, d in ((r1p, T.d1), (r2p, T.d2)) if rp]
+            if min(tops) < -window:
+                continue  # some slot's degree range is empty
+            yield r2p, denom, range(-window * len(tops), sum(tops) + 1)
 
 
 def enumerate_walls(T: TripleInvariants, degree_window: int) -> ChamberDecomposition:
     """Candidate wall values inside the admissible interval.
 
-    A subobject with invariants (r1p, r2p, d1p, d2p) pins tau to
+    A subobject of ranks (r1p, r2p) and degree sum S = d1p + d2p pins tau to
 
-        (r2*(d1p+d2p) - r2p*(d1+d2)) / (r2*r1p - r1*r2p)
+        (r2*S - r2p*(d1+d2)) / (r2*r1p - r1*r2p)
 
     whenever the denominator is nonzero; proportional rank pairs give a
     theta that does not depend on tau at all and contribute no wall.
     Degrees run over |d'| <= degree_window, additionally capped above by
-    the ambient degrees.  Walls outside the window are not found; widen
-    the window to push the guarantee further.
+    the ambient degrees, and S over their sums.  Walls outside the window
+    are not found; widen the window to push the guarantee further.
     """
-    if degree_window < 1:
-        raise ValueError(f"degree_window must be >= 1, got {degree_window}")
     iv = parameter_interval(T)
     D = T.total_degree
     values = set()
-    for r1p in range(T.r1 + 1):
-        for r2p in range(T.r2 + 1):
-            if (r1p, r2p) in ((0, 0), (T.r1, T.r2)):
-                continue
-            denom = T.r2 * r1p - T.r1 * r2p
-            if denom == 0:
-                continue
-            for d1p in _degree_range(r1p, T.d1, degree_window):
-                for d2p in _degree_range(r2p, T.d2, degree_window):
-                    tau_c = Fraction(T.r2 * (d1p + d2p) - r2p * D, denom)
-                    if iv.contains(tau_c):
-                        values.add(tau_c)
+    for r2p, denom, sums in _wall_equations(T, degree_window):
+        for S in sums:
+            tau_c = Fraction(T.r2 * S - r2p * D, denom)
+            if iv.contains(tau_c):
+                values.add(tau_c)
     return ChamberDecomposition(
         interval=iv,
         walls=sorted(values),
@@ -128,12 +127,18 @@ def enumerate_walls(T: TripleInvariants, degree_window: int) -> ChamberDecomposi
 
 
 def is_generic(T: TripleInvariants, tau: Rational, degree_window: int) -> bool:
-    """True when tau avoids every candidate wall found within the window."""
+    """True when tau avoids every candidate wall found within the window:
+    for no rank pair of enumerate_walls is S = (tau*(r2*r1p - r1*r2p) +
+    r2p*(d1+d2)) / r2 an integer inside the pair's degree-sum range."""
     tau = Fraction(tau)
-    iv = parameter_interval(T)
-    if not iv.contains(tau):
+    if not parameter_interval(T).contains(tau):
         raise ParameterRangeError(f"tau={tau} outside admissible interval")
-    return tau not in enumerate_walls(T, degree_window).walls
+    p, q = tau.numerator, tau.denominator
+    for r2p, denom, sums in _wall_equations(T, degree_window):
+        S, rem = divmod(p * denom + q * r2p * T.total_degree, q * T.r2)
+        if rem == 0 and S in sums:
+            return False
+    return True
 
 
 def moduli_dimension(T: TripleInvariants, genus: int) -> int:

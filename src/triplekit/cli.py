@@ -88,19 +88,11 @@ def _parse_ints(text: str, label: str, count: int) -> List[int]:
 
 
 def _parse_triple(text: str) -> TripleInvariants:
-    r1, r2, d1, d2 = _parse_ints(text, "--triple", 4)
-    try:
-        return TripleInvariants(r1, r2, d1, d2)
-    except InvariantError as exc:
-        _fail(str(exc))
+    return TripleInvariants(*_parse_ints(text, "--triple", 4))
 
 
 def _parse_sub(text: str) -> SubtripleInvariants:
-    r1p, r2p, d1p, d2p = _parse_ints(text, "--sub", 4)
-    try:
-        return SubtripleInvariants(r1p, r2p, d1p, d2p)
-    except InvariantError as exc:
-        _fail(str(exc))
+    return SubtripleInvariants(*_parse_ints(text, "--sub", 4))
 
 
 def _parse_profile(text: str):

@@ -411,20 +411,23 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
             "zero coupling: constant forcing has nonzero mean, linear problem unsolvable",
         )
 
+    def state(v):
+        E = np.exp(np.clip(2.0 * v, -500.0, 500.0))
+        return E, grid.laplacian(v) - a - 2.0 * phi * E
+
     v = np.zeros(grid.shape)
+    E, G = state(v)
+    if not np.isfinite(G).all():
+        return _package(
+            p, v, 0, SolveStatus.INFEASIBLE,
+            "norm blow-up: residual left the range of double precision",
+        )
     best_gsup = np.inf
     stall = 0
     last_step: Optional[float] = None
     iterations = 0
 
     for _ in range(max_iter):
-        E = np.exp(np.clip(2.0 * v, -500.0, 500.0))
-        G = grid.laplacian(v) - a - 2.0 * phi * E
-        if not np.isfinite(G).all():
-            return _package(
-                p, np.nan_to_num(v), iterations, SolveStatus.INFEASIBLE,
-                "norm blow-up: residual left the range of double precision",
-            )
         gsup = float(np.abs(G).max())
         vsup = float(np.abs(v).max())
 
@@ -458,17 +461,17 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
             delta *= TRUST_RADIUS / dsup
 
         # backtracking on sup|G|; if nothing decreases, take the least bad
-        # candidate and let the stall certificate arbitrate
+        # candidate and let the stall certificate arbitrate.  The chosen
+        # candidate's residual is finite and starts the next iteration.
         alpha = 1.0
         chosen = None
         chosen_sup = np.inf
         for _bt in range(9):
             cand = v + alpha * delta
-            Ec = np.exp(np.clip(2.0 * cand, -500.0, 500.0))
-            Gc = grid.laplacian(cand) - a - 2.0 * phi * Ec
+            Ec, Gc = state(cand)
             csup = float(np.abs(Gc).max()) if np.isfinite(Gc).all() else np.inf
             if csup < chosen_sup:
-                chosen = (cand, alpha)
+                chosen = (cand, alpha, Ec, Gc)
                 chosen_sup = csup
             if csup <= (1.0 - 1e-4 * alpha) * gsup:
                 break
@@ -478,7 +481,7 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
                 p, v, iterations, SolveStatus.INFEASIBLE,
                 "norm blow-up: no finite step candidate",
             )
-        v, applied_alpha = chosen
+        v, applied_alpha, E, G = chosen
         last_step = applied_alpha * float(np.abs(delta).max())
         iterations += 1
 

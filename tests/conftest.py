@@ -1,11 +1,18 @@
 """Shared samplers and small oracles for the test suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from triplekit import SubtripleInvariants, TorusGrid, TripleInvariants
+from triplekit import (
+    SubtripleInvariants,
+    TorusGrid,
+    TripleInvariants,
+    parameter_interval,
+    theta_tau,
+)
 from triplekit.vortex import TWO_PI
 
 
@@ -56,6 +63,30 @@ def random_dualizable_subtriple(
         d1p = T.d1 if r1p == T.r1 else (rng.randint(-max_deg, max_deg) if r1p else 0)
         d2p = T.d2 if r2p == T.r2 else (rng.randint(-max_deg, max_deg) if r2p else 0)
         return SubtripleInvariants(r1p, r2p, d1p, d2p)
+
+
+def brute_force_walls(T: TripleInvariants, window: int) -> list:
+    """Walls found one subobject at a time, independently of the
+    degree-sum enumeration: a wall is a tau where some admissible invariant
+    vector sits exactly on the threshold, and theta is affine in tau, so
+    each vector roots at most once."""
+    found = set()
+    iv = parameter_interval(T)
+    for r1p, r2p in itertools.product(range(T.r1 + 1), range(T.r2 + 1)):
+        if (r1p, r2p) in ((0, 0), (T.r1, T.r2)):
+            continue
+        d1s = [0] if r1p == 0 else range(-window, min(window, T.d1) + 1)
+        d2s = [0] if r2p == 0 else range(-window, min(window, T.d2) + 1)
+        for d1p, d2p in itertools.product(d1s, d2s):
+            Tp = SubtripleInvariants(r1p, r2p, d1p, d2p)
+            a = theta_tau(T, Tp, 0)
+            b = theta_tau(T, Tp, 1) - a
+            if b == 0:
+                continue
+            root = -a / b
+            if iv.contains(root):
+                found.add(root)
+    return sorted(found)
 
 
 def random_sigma(rng: random.Random, max_num: int = 60, max_den: int = 12) -> Fraction:

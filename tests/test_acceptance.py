@@ -28,7 +28,6 @@ from triplekit import (
     kernel_image_identity,
     moduli_dimension,
     mu_sigma,
-    parameter_interval,
     residual,
     solve,
     tau_from_sigma,
@@ -37,6 +36,7 @@ from triplekit import (
 from triplekit.vortex import TWO_PI
 
 from conftest import (
+    brute_force_walls,
     random_dualizable_subtriple,
     random_positive_sigma,
     random_proper_subtriple,
@@ -118,32 +118,12 @@ def test_criterion_3_kernel_image_identity():
           f"on {count} exact sequences")
 
 
-def _brute_force_walls(T, window):
-    found = set()
-    iv = parameter_interval(T)
-    for r1p, r2p in itertools.product(range(T.r1 + 1), range(T.r2 + 1)):
-        if (r1p, r2p) in ((0, 0), (T.r1, T.r2)):
-            continue
-        d1s = [0] if r1p == 0 else range(-window, min(window, T.d1) + 1)
-        d2s = [0] if r2p == 0 else range(-window, min(window, T.d2) + 1)
-        for d1p, d2p in itertools.product(d1s, d2s):
-            Tp = SubtripleInvariants(r1p, r2p, d1p, d2p)
-            a = theta_tau(T, Tp, 0)
-            b = theta_tau(T, Tp, 1) - a
-            if b == 0:
-                continue
-            root = -a / b
-            if iv.contains(root):
-                found.add(root)
-    return sorted(found)
-
-
 def test_criterion_4_wall_soundness():
     checked = 0
     for r1, r2 in itertools.product((1, 2), repeat=2):
         for d1, d2 in itertools.product(range(-3, 4), repeat=2):
             T = TripleInvariants(r1, r2, d1, d2)
-            assert enumerate_walls(T, 6).walls == _brute_force_walls(T, 6)
+            assert enumerate_walls(T, 6).walls == brute_force_walls(T, 6)
             checked += 1
     worked = TripleInvariants(2, 1, 2, 0)
     dec = enumerate_walls(worked, 6)

@@ -6,7 +6,6 @@ import pytest
 
 from triplekit import (
     ParameterRangeError,
-    SubtripleInvariants,
     TripleInvariants,
     dual_invariants,
     enumerate_walls,
@@ -18,10 +17,9 @@ from triplekit import (
     sigma_from_tau,
     sigma_interval,
     small_tau_window,
-    theta_tau,
 )
 
-from conftest import random_triple
+from conftest import brute_force_walls, random_triple
 
 
 def test_parameter_interval_examples():
@@ -107,33 +105,14 @@ def test_walls_lie_strictly_inside_interval():
         assert dec.walls == sorted(set(dec.walls))
 
 
-def _brute_force_walls(T, window):
-    # a wall is a tau where some admissible invariant vector sits exactly
-    # on the threshold; theta is affine in tau so each vector roots at
-    # most once
-    found = set()
-    iv = parameter_interval(T)
-    for r1p, r2p in itertools.product(range(T.r1 + 1), range(T.r2 + 1)):
-        if (r1p, r2p) in ((0, 0), (T.r1, T.r2)):
-            continue
-        d1s = [0] if r1p == 0 else range(-window, min(window, T.d1) + 1)
-        d2s = [0] if r2p == 0 else range(-window, min(window, T.d2) + 1)
-        for d1p, d2p in itertools.product(d1s, d2s):
-            Tp = SubtripleInvariants(r1p, r2p, d1p, d2p)
-            a = theta_tau(T, Tp, 0)
-            b = theta_tau(T, Tp, 1) - a
-            if b == 0:
-                continue
-            root = -a / b
-            if iv.contains(root):
-                found.add(root)
-    return sorted(found)
-
-
 def test_walls_match_brute_force():
-    for r1, r2, d1, d2 in [(2, 1, 2, 0), (2, 2, 2, 0), (1, 2, 3, -1), (2, 2, 3, 1)]:
-        T = TripleInvariants(r1, r2, d1, d2)
-        assert enumerate_walls(T, 5).walls == _brute_force_walls(T, 5)
+    # the last two have a degree below -window: that slot's range is empty
+    for triple, window in [
+        ((2, 1, 2, 0), 5), ((2, 2, 2, 0), 5), ((1, 2, 3, -1), 5), ((2, 2, 3, 1), 5),
+        ((2, 1, 0, -3), 2), ((2, 1, 1, -5), 3),
+    ]:
+        T = TripleInvariants(*triple)
+        assert enumerate_walls(T, window).walls == brute_force_walls(T, window), triple
 
 
 def test_is_generic_examples():
@@ -145,6 +124,44 @@ def test_is_generic_examples():
         is_generic(T, 2, 4)
     with pytest.raises(ParameterRangeError):
         is_generic(T, Fraction(1, 2), 4)
+
+
+def _walls_and_chamber_points(dec):
+    """Every wall and every chamber midpoint of a decomposition; an
+    unbounded last chamber is sampled one unit past its left end."""
+    iv = dec.interval
+    if iv.is_empty:
+        return []
+    ends = [iv.lower, *dec.walls]
+    ends.append(iv.upper if iv.is_bounded else ends[-1] + 2)
+    return dec.walls + [(lo + hi) / 2 for lo, hi in zip(ends, ends[1:])]
+
+
+def test_is_generic_agrees_with_wall_list():
+    # is_generic solves each rank pair's wall equation for the degree sum
+    # instead of reading the wall list, so the two are checked against
+    # each other, including at walls that only a wider window finds
+    checked = 0
+    for r1, r2 in itertools.product(range(1, 4), repeat=2):
+        for d1, d2 in itertools.product(range(-9, 10), repeat=2):
+            T = TripleInvariants(r1, r2, d1, d2)
+            lower = parameter_interval(T).lower
+            decs = [enumerate_walls(T, W) for W in range(1, 5)]
+            for W, dec, wider in zip(range(1, 4), decs, decs[1:]):
+                walls = set(dec.walls)
+                points = _walls_and_chamber_points(dec)
+                for tau in points + wider.walls:
+                    assert is_generic(T, tau, W) == (tau not in walls)
+                    checked += 1
+                with pytest.raises(ParameterRangeError):
+                    is_generic(T, lower, W)
+            # the range check comes before the window check
+            with pytest.raises(ParameterRangeError):
+                is_generic(T, lower, 0)
+            if points:
+                with pytest.raises(ValueError, match="degree_window"):
+                    is_generic(T, points[-1], 0)
+    assert checked > 10_000
 
 
 def test_moduli_dimension_examples():

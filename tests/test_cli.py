@@ -247,6 +247,7 @@ def test_malformed_triples_exit_two(runner):
     assert res.exit_code == 2
     res = runner.invoke(main, ["dimension", "--triple", "0,1,0,0", "--genus", "1"])
     assert res.exit_code == 2
+    assert res.stderr == "error: both ranks must be >= 1, got (0, 1)\n"
     res = runner.invoke(main, ["theta", "--triple", "2,1,2,0", "--sub", "0,0,0,0",
                                "--tau", "1"])
     assert res.exit_code == 2
