@@ -5,6 +5,8 @@ does every slope, threshold, wall and dimension computation in rational
 arithmetic with no floating point. The numeric half (vortex) solves the
 coupled vortex equations for a line-bundle pair on a discretized flat
 torus and reproduces the stability threshold as a solvability threshold.
+Only the numeric half needs numpy, and it is imported on first use of one
+of its names, so the exact half and its commands start without it.
 """
 
 from .invariants import (
@@ -56,31 +58,6 @@ from .extensions import (
     extension_invariants,
     subextension_slope,
 )
-from .vortex import (
-    ConstantProfile,
-    CosineProfile,
-    DiagonalReport,
-    PhiProfile,
-    ResidualReport,
-    ScalarReduction,
-    SolveStatus,
-    SweepRow,
-    SweepWarning,
-    TorusGrid,
-    VortexProblem,
-    VortexSolution,
-    ZeroProfile,
-    build_problem,
-    integral_identity_check,
-    reduce_to_scalar,
-    residual,
-    solve,
-    solve_diagonal,
-    summary_json,
-    sweep_sigma,
-    write_fields_csv,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -149,3 +126,12 @@ __all__ = [
     "write_fields_csv",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # every name of __all__ not bound above belongs to the numeric half
+    if name in __all__:
+        from . import vortex
+
+        return getattr(vortex, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,7 +3,8 @@
 One subcommand per operation family; JSON (default) or key/value CSV on
 stdout.  Exact-arithmetic commands take rationals as 'p/q' strings only;
 decimals are rejected so nothing silently leaves exact arithmetic.  The
-vortex commands take ordinary floats.
+vortex commands take ordinary floats and import the numeric module (and
+numpy) only when they run.
 
 Exit codes: 0 success; 1 for a negative but valid verdict (non-generic
 parameter, infeasible or indeterminate solve, sweep with warnings);
@@ -46,18 +47,6 @@ from .stability import (
     tau_prime,
     theta_tau,
 )
-from .vortex import (
-    ConstantProfile,
-    CosineProfile,
-    SolveStatus,
-    SweepWarning,
-    ZeroProfile,
-    build_problem,
-    solve,
-    summary_json,
-    sweep_sigma,
-    write_fields_csv,
-)
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -96,6 +85,8 @@ def _parse_sub(text: str) -> SubtripleInvariants:
 
 
 def _parse_profile(text: str):
+    from .vortex import ConstantProfile, CosineProfile, ZeroProfile
+
     parts = text.split(":")
     kind = parts[0]
     try:
@@ -360,6 +351,8 @@ def vortex_solve(
     tol: float, max_iter: int, dump_path: Optional[str], fmt: str,
 ) -> None:
     """Solve one vortex problem (exit 1 unless feasible)."""
+    from .vortex import SolveStatus, build_problem, solve, summary_json, write_fields_csv
+
     prob = build_problem(n, d1, d2, sigma, _parse_profile(profile_text))
     sol = solve(prob, tol=tol, max_iter=max_iter)
     payload = summary_json(prob, sol)
@@ -390,6 +383,8 @@ def vortex_sweep(
     tol: float, max_iter: int, fmt: str,
 ) -> None:
     """Feasibility sweep over sigma values (exit 1 on sweep warnings)."""
+    from .vortex import SweepWarning, sweep_sigma
+
     try:
         sigmas = [float(s) for s in sigmas_text.split(",")]
     except ValueError:

@@ -22,10 +22,15 @@ annihilated exactly and integration by parts is exact; the nonlinear solve
 is a damped Newton iteration with a spectrally preconditioned CG inner
 solve.
 
-Nonexistence is detected, not proved: Newton divergence yields a
-certificate (norm blow-up or residual stall); running out of iterations
-without one yields an indeterminate verdict that is never conflated with
-infeasible.
+Nonexistence is proved for sigma <= d1 - d2: the spectral Laplacian has
+mean exactly zero, so the mean of the reduced equation's defect is
+-2*pi*(d1 - d2 - sigma) - 2*mean(phi_sq*e^{2v}) < 0 for every v, and no
+iteration is run.  Above the threshold the continuum equation has a
+solution (Kazdan-Warner) and Newton looks for the discrete one; its
+certificates (norm blow-up, CG breakdown, residual stall) remain
+divergence evidence, not proofs.  Running out of
+iterations without one yields an indeterminate verdict that is never
+conflated with infeasible.
 """
 
 from __future__ import annotations
@@ -379,28 +384,39 @@ def _package(
 
 
 def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSolution:
-    """Damped Newton iteration on the reduced scalar equation.
+    """Decide the reduced scalar equation, by proof where one applies.
 
     Writes the scalar residual as G(v) = lap(v) - a - 2*phi_sq*e^{2v} with
     a = 2*pi*(d1 - d2 - sigma); the pair residuals are exactly -G/2 and
-    +G/2, so the convergence target is sup|G| < 2*tol.  Convergence also
-    requires the last applied step to be tiny: near the solvability
-    boundary the residual can dip below tolerance while the iterates still
-    drift at unit speed toward v = -infinity, and the step gate keeps that
-    from being declared a solution (the drift then runs into the blow-up
-    certificate instead).
+    +G/2.  The linear case phi_sq = 0 and the integral obstruction a >= 0
+    are decided without iterating; every other problem goes to damped
+    Newton.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     reduce_to_scalar(p)
-    grid = p.grid
-    phi = p.phi_sq
-    a = TWO_PI * (p.d1 - p.d2) - TWO_PI * p.sigma
+    proof = _obstruction(p, _forcing(p))
+    return proof if proof is not None else _newton(p, tol, max_iter)
 
-    if float(phi.max()) == 0.0:
+
+def _forcing(p: VortexProblem) -> float:
+    """The constant a = 2*pi*(d1 - d2 - sigma) of the reduced equation."""
+    return TWO_PI * (p.d1 - p.d2) - TWO_PI * p.sigma
+
+
+def _obstruction(p: VortexProblem, a: float) -> Optional[VortexSolution]:
+    """The verdicts that need no iteration, or None.
+
+    With phi_sq = 0 the equation lap(v) = a is linear and solvable exactly
+    when a = 0.  Otherwise phi_sq >= 0 is somewhere positive and the
+    spectral Laplacian has mean exactly zero, so for every v
+    mean(G(v)) = -a - 2*mean(phi_sq*e^{2v}) < 0 once a >= 0: the discrete
+    system has no solution, whatever Newton would do with it.
+    """
+    v = np.zeros(p.grid.shape)
+    if float(p.phi_sq.max()) == 0.0:
         # linear degenerate case: lap(v) = a is solvable on the torus only
         # for a = 0, and then v = 0 in the mean-zero gauge
-        v = np.zeros(grid.shape)
         if abs(a) < TRACE_TOL:
             return _package(p, v, 0, SolveStatus.FEASIBLE, None)
         return _package(
@@ -410,6 +426,28 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
             SolveStatus.INFEASIBLE,
             "zero coupling: constant forcing has nonzero mean, linear problem unsolvable",
         )
+    if a >= 0:
+        return _package(
+            p, v, 0, SolveStatus.INFEASIBLE,
+            f"integral obstruction: 2*pi*(d1 - d2 - sigma) = {a:.6g} >= 0, but "
+            "mean(lap v) = 0 and mean(2 phi_sq e^{2v}) > 0 for every v",
+        )
+    return None
+
+
+def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
+    """Damped Newton iteration on the reduced scalar equation from v = 0.
+
+    The convergence target is sup|G| < 2*tol.  Convergence also requires
+    the last applied step to be tiny: near the solvability boundary the
+    residual can dip below tolerance while the iterates still drift at
+    unit speed toward v = -infinity, and the step gate keeps that from
+    being declared a solution (the drift then runs into the blow-up
+    certificate instead).
+    """
+    grid = p.grid
+    phi = p.phi_sq
+    a = _forcing(p)
 
     def state(v):
         E = np.exp(np.clip(2.0 * v, -500.0, 500.0))
@@ -454,7 +492,7 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
         if delta is None:
             return _package(
                 p, v, iterations, SolveStatus.INFEASIBLE,
-                "norm blow-up: linear solve produced non-finite direction",
+                "CG breakdown: linear solve produced a non-finite direction",
             )
         dsup = float(np.abs(delta).max())
         if dsup > TRUST_RADIUS:

@@ -6,6 +6,7 @@ checklist.  Tolerances and instance counts here are contractual; loosening
 them is an API break, not a test fix.
 """
 
+import collections
 import itertools
 import random
 import time
@@ -16,6 +17,7 @@ import numpy as np
 from triplekit import (
     CosineProfile,
     ConstantProfile,
+    SolveStatus,
     SubtripleInvariants,
     TripleInvariants,
     build_problem,
@@ -33,7 +35,7 @@ from triplekit import (
     tau_from_sigma,
     theta_tau,
 )
-from triplekit.vortex import TWO_PI
+from triplekit.vortex import TWO_PI, _newton
 
 from conftest import (
     brute_force_walls,
@@ -166,6 +168,7 @@ def test_criterion_7_threshold_at_desk_scale():
     profile = CosineProfile(3.14159, 1.5)
     worst_res = 0.0
     worst_defect = 0.0
+    certificates = collections.Counter()
     for dd in (0, 1):
         d1, d2 = dd, 0
         for off in (0.5, 1.0, 2.0):
@@ -178,13 +181,22 @@ def test_criterion_7_threshold_at_desk_scale():
             worst_res = max(worst_res, s.residual_sup)
             worst_defect = max(worst_defect, defect)
         for sigma in (dd - 0.5, float(dd)):
-            s = solve(build_problem(64, d1, d2, sigma, profile))
+            p = build_problem(64, d1, d2, sigma, profile)
+            s = solve(p)
             assert not s.feasible, f"expected infeasible at sigma={sigma}, d=({d1},{d2})"
             assert s.certificate is not None, "infeasible verdict must carry a certificate"
+            assert s.certificate.startswith("integral obstruction:")
+            certificates[s.certificate.split(":")[0]] += 1
+            # Newton alone, as a witness independent of the proof
+            w = _newton(p, 1e-10, 200)
+            assert w.status is not SolveStatus.FEASIBLE, f"Newton 'solved' sigma={sigma}"
+            assert w.certificate is not None, "Newton's verdict must carry a certificate"
+            certificates[w.certificate.split(":")[0]] += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     print(f"PASS criterion 7: threshold switch at both degree gaps, worst residual "
-          f"{worst_res:.2e}, worst integral defect {worst_defect:.2e}, {elapsed:.1f}s")
+          f"{worst_res:.2e}, worst integral defect {worst_defect:.2e}, certificates "
+          f"{dict(certificates)}, {elapsed:.1f}s")
 
 
 def test_criterion_8_jacobian_central_differences():

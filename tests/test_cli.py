@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import triplekit
 from triplekit.cli import main
 
 
@@ -151,11 +155,20 @@ def test_vortex_solve_feasible(runner):
 
 
 def test_vortex_solve_infeasible_exit_and_certificate(runner):
-    res = runner.invoke(main, ["vortex-solve", "--n", "32", "--d1", "0", "--d2", "0",
-                               "--sigma", "-0.5", "--profile", "constant:3.141592653589793"])
-    assert res.exit_code == 1
-    assert json.loads(res.stdout)["status"] == "infeasible"
-    assert res.stderr.startswith("certificate:")
+    # the last two sit on the threshold sigma = d1 - d2, where Newton once
+    # ended indeterminate (constant) or with a false "feasible" (cosine)
+    for args in (
+        ["--n", "32", "--d1", "0", "--d2", "0", "--sigma", "-0.5",
+         "--profile", "constant:3.141592653589793"],
+        ["--n", "16", "--d1", "0", "--d2", "0", "--sigma", "0", "--profile", "constant:1"],
+        ["--n", "16", "--d1", "0", "--d2", "-1", "--sigma", "1",
+         "--profile", "cosine:2.058489233079848:0.9068762438404571"],
+    ):
+        res = runner.invoke(main, ["vortex-solve"] + args)
+        assert res.exit_code == 1, args
+        payload = json.loads(res.stdout)
+        assert payload["status"] == "infeasible" and payload["iterations"] == 0, args
+        assert res.stderr.startswith("certificate: integral obstruction:"), args
 
 
 def test_vortex_solve_dump_fields(runner, tmp_path):
@@ -240,6 +253,24 @@ def test_vortex_sweep_rejects_unsorted_and_garbage(runner):
                                    "--sigmas", sigmas, "--profile", "constant:1"])
         assert res.exit_code == 2, sigmas
         assert res.stdout == "", sigmas
+
+
+def test_exact_commands_do_not_import_numpy():
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['triplekit', 'walls', '--triple', '2,1,2,0', '--window', '4']\n"
+        "try:\n"
+        "    runpy.run_module('triplekit', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(triplekit.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    lines = out.stdout.splitlines()
+    assert json.loads(lines[0])["walls"]
+    assert lines[-1] == "False"
 
 
 def test_malformed_triples_exit_two(runner):

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from triplekit import (
     sweep_sigma,
     write_fields_csv,
 )
-from triplekit.vortex import DIAG_FLOOR, TWO_PI, _newton_direction
+from triplekit.vortex import DIAG_FLOOR, TWO_PI, _newton, _newton_direction
 
 from conftest import smooth_field
 
@@ -211,20 +212,69 @@ def test_solve_constant_sigma_two_closed_form():
     assert s.residual_sup < 1e-12
 
 
+def _obstructed(s):
+    """Whether the solve ended on the integral obstruction, and did so at v = 0."""
+    if not (s.certificate or "").startswith("integral obstruction:"):
+        return False
+    assert s.status is SolveStatus.INFEASIBLE and not s.feasible and s.iterations == 0
+    return True
+
+
 def test_solve_negative_sigma_diverges_with_certificate():
     p = build_problem(64, 0, 0, -0.5, ConstantProfile(float(np.pi)))
     s = solve(p)
-    assert s.status is SolveStatus.INFEASIBLE and not s.feasible
-    assert s.certificate is not None and "blow-up" in s.certificate
+    assert _obstructed(s)
+    assert "2*pi*(d1 - d2 - sigma) = 3.14159 >= 0" in s.certificate
+    # the obstruction is reported at v = 0: G = -a - 2*pi everywhere
+    assert s.residual_sup == pytest.approx(0.5 * (0.5 * TWO_PI + TWO_PI), rel=1e-12)
+    w = _newton(p, 1e-10, 200)
+    assert w.status is SolveStatus.INFEASIBLE and not w.feasible
+    assert w.certificate is not None and "blow-up" in w.certificate
 
 
 def test_solve_threshold_boundary_is_infeasible():
     # sigma = d1 - d2 exactly: the integral budget closes only as
     # v -> -infinity, so Newton must diverge, not "converge"
     p = build_problem(64, 1, 0, 1.0, CosineProfile(3.14159, 1.5))
-    s = solve(p)
-    assert s.status is SolveStatus.INFEASIBLE
-    assert s.certificate is not None
+    assert _obstructed(solve(p))
+    w = _newton(p, 1e-10, 200)
+    assert w.status is SolveStatus.INFEASIBLE
+    assert w.certificate is not None
+
+
+def test_obstruction_fires_exactly_at_and_below_threshold():
+    # the proof: with a = 2*pi*(d1 - d2 - sigma) >= 0, the mean of
+    # G(v) = lap(v) - a - 2*phi_sq*e^{2v} is negative for every field v;
+    # lap is recomputed here with numpy.fft, not the grid's operator
+    rng = np.random.default_rng(5)
+    cases = itertools.product((16, 32), range(3), range(3), range(3))
+    for n, which_profile, which_sigma, _ in cases:
+        d2 = int(rng.integers(-2, 3))
+        d1 = d2 + int(rng.integers(-1, 3))
+        gap = d1 - d2
+        level = float(rng.uniform(0.05, 5.0))
+        profile = (
+            ConstantProfile(level),
+            CosineProfile(level, float(rng.uniform(0.0, 0.99)) * level),
+            BandProfile(),
+        )[which_profile]
+        sigma = (
+            float(gap),
+            gap - float(rng.uniform(0.01, 2.0)),
+            gap + float(rng.uniform(0.05, 2.0)),
+        )[which_sigma]
+        p = build_problem(n, d1, d2, sigma, profile)
+        assert _obstructed(solve(p)) == (sigma <= gap), (n, d1, d2, sigma, profile)
+        if sigma > gap:
+            continue
+        a = TWO_PI * (gap - sigma)
+        k = np.fft.fftfreq(n, 1.0 / n)
+        mult = -4.0 * np.pi**2 * (k[:, None] ** 2 + k[None, :] ** 2)
+        for _ in range(3):
+            v = smooth_field(n, 3, 1.0, rng) + rng.uniform(-3.0, 3.0)
+            lap = np.fft.ifft2(mult * np.fft.fft2(v)).real
+            G = lap - a - 2.0 * p.phi_sq * np.exp(2.0 * v)
+            assert G.mean() < 0, (n, d1, d2, sigma, profile)
 
 
 def test_solve_zero_profile_branches():
@@ -451,8 +501,10 @@ def test_newton_direction_matches_dense_solve():
 
 
 def test_import_and_solve_do_not_load_scipy():
+    # numpy stays out until a vortex name is used; scipy stays out for good
     code = (
         "import sys, triplekit\n"
+        "print('numpy' in sys.modules)\n"
         "s = triplekit.solve(triplekit.build_problem("
         "16, 0, 0, 2.0, triplekit.ConstantProfile(3.14159)))\n"
         "assert s.feasible\n"
@@ -463,4 +515,4 @@ def test_import_and_solve_do_not_load_scipy():
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
