@@ -25,12 +25,12 @@ solve.
 Nonexistence is proved for sigma <= d1 - d2: the spectral Laplacian has
 mean exactly zero, so the mean of the reduced equation's defect is
 -2*pi*(d1 - d2 - sigma) - 2*mean(phi_sq*e^{2v}) < 0 for every v, and no
-iteration is run.  Above the threshold the continuum equation has a
-solution (Kazdan-Warner) and Newton looks for the discrete one; its
-certificates (norm blow-up, CG breakdown, residual stall) remain
-divergence evidence, not proofs.  Running out of
-iterations without one yields an indeterminate verdict that is never
-conflated with infeasible.
+iteration is run.  Above the threshold the reduced equation is the
+Euler-Lagrange equation of a strictly convex, coercive energy
+(Kazdan-Warner), so the discrete system has exactly one solution; Newton
+descends that energy from the constant that balances the integral budget.
+It ends feasible, or indeterminate when it stops short of the tolerance,
+which is never conflated with infeasible.
 """
 
 from __future__ import annotations
@@ -51,12 +51,9 @@ TWO_PI = 2.0 * np.pi
 # trace condition |tau + tau' - (d1+d2)| below this is treated as exact
 TRACE_TOL = 1e-12
 
-# Newton gives up once sup|v| passes this: solutions of the reduced
-# equation satisfy e^{2v} <= budget/min(2*phi_sq-mass), far below e^{100}
+# Newton's divergence witness at a >= 0 gives up once sup|v| passes this;
+# from v = 0 the iterates drift toward v = -infinity there
 BLOWUP_SUP = 50.0
-
-STALL_ITERS = 20
-TRUST_RADIUS = 5.0
 
 # floor for the Jacobian diagonal: during infeasible drifts e^{2v}
 # underflows and would leave the linear solve singular on constants
@@ -257,7 +254,9 @@ def residual(p: VortexProblem, u1: np.ndarray, u2: np.ndarray) -> ResidualReport
     res1 = p.c1 - p.grid.laplacian(u1) + coupling - TWO_PI * p.tau
     res2 = p.c2 - p.grid.laplacian(u2) - coupling - TWO_PI * p.tau_prime
     sup = float(max(np.abs(res1).max(), np.abs(res2).max()))
-    l2 = float(np.sqrt(np.mean(res1**2 + res2**2)))
+    # scaled by sup before squaring, so defects near 1e200 do not overflow
+    scale = sup if 0.0 < sup < np.inf else 1.0
+    l2 = scale * float(np.sqrt(np.mean((res1 / scale) ** 2 + (res2 / scale) ** 2)))
     return ResidualReport(res1=res1, res2=res2, sup=sup, l2=l2)
 
 
@@ -302,9 +301,11 @@ class SolveStatus(str, Enum):
 class VortexSolution:
     """Solver output.
 
-    feasible mirrors status == FEASIBLE; certificate names the divergence
-    evidence when infeasible (never set for indeterminate, which means the
-    iteration budget ran out with no verdict either way).
+    feasible mirrors status == FEASIBLE; certificate names the proof when
+    infeasible (zero coupling or the integral obstruction; _newton run
+    alone below the threshold names its divergence evidence instead).  It
+    is never set for indeterminate, which means Newton ended above the
+    threshold, where a solution exists, without meeting the gate.
     """
 
     u1: np.ndarray
@@ -355,7 +356,7 @@ def _newton_direction(
             r -= alpha * q
             rho_prev = rho
     # a partially converged direction is still a descent direction; junk
-    # directions are caught by the line search and the stall certificate
+    # directions are caught by the line search
     if not np.isfinite(x).all():
         return None
     return x
@@ -436,7 +437,19 @@ def _obstruction(p: VortexProblem, a: float) -> Optional[VortexSolution]:
 
 
 def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
-    """Damped Newton iteration on the reduced scalar equation from v = 0.
+    """Damped Newton descent on the energy of the reduced scalar equation.
+
+    E(v) = mean(v*(-lap v))/2 + a*mean(v) + mean(phi_sq*e^{2v}) has
+    gradient -G(v) = -lap(v) + a + 2*phi_sq*e^{2v}, and its
+    Hessian -lap + 4*phi_sq*e^{2v} _newton_direction inverts; each step
+    backtracks on E until the Armijo condition holds.  For a < 0, E is
+    strictly convex and coercive, so this converges from any start
+    (Boyd-Vandenberghe 2004, 9.5).  It starts at c0 = ln(-a/(2*mean(phi_sq)))/2,
+    the constant that balances the integral budget and the exact solution
+    for a constant phi_sq; a run that misses the gate is indeterminate.
+    For a >= 0, E is unbounded below along the constants: the run from
+    v = 0 is a divergence witness independent of the integral obstruction
+    and ends on a norm blow-up or CG breakdown certificate.
 
     The convergence target is sup|G| < 2*tol.  Convergence also requires
     the last applied step to be tiny: near the solvability boundary the
@@ -450,18 +463,16 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     a = _forcing(p)
 
     def state(v):
-        E = np.exp(np.clip(2.0 * v, -500.0, 500.0))
-        return E, grid.laplacian(v) - a - 2.0 * phi * E
+        coupling = phi * np.exp(2.0 * v)
+        return coupling, grid.laplacian(v) - a - 2.0 * coupling
 
-    v = np.zeros(grid.shape)
-    E, G = state(v)
-    if not np.isfinite(G).all():
-        return _package(
-            p, v, 0, SolveStatus.INFEASIBLE,
-            "norm blow-up: residual left the range of double precision",
-        )
-    best_gsup = np.inf
-    stall = 0
+    c0 = 0.0
+    if a < 0:
+        # summed exactly, so a constant phi_sq balances to its exact solution
+        mean_phi = math.fsum((phi / phi.size).ravel())
+        c0 = 0.5 * (math.log(-0.5 * a) - math.log(mean_phi))
+    v = np.full(grid.shape, c0)
+    coupling, G = state(v)
     last_step: Optional[float] = None
     iterations = 0
 
@@ -471,56 +482,40 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
 
         if gsup < 2.0 * tol and (last_step is None or last_step <= 1e-6 * (1.0 + vsup)):
             return _package(p, v, iterations, SolveStatus.FEASIBLE, None)
-        if vsup > BLOWUP_SUP:
+        if a >= 0 and vsup > BLOWUP_SUP:
             return _package(
                 p, v, iterations, SolveStatus.INFEASIBLE,
                 f"norm blow-up: sup|v| = {vsup:.2f} exceeded {BLOWUP_SUP:g}",
             )
-        if gsup < 0.999 * best_gsup:
-            best_gsup = gsup
-            stall = 0
-        else:
-            stall += 1
-            if stall >= STALL_ITERS and gsup > 10.0 * tol:
-                return _package(
-                    p, v, iterations, SolveStatus.INFEASIBLE,
-                    f"residual stall: no progress below {best_gsup:.3e} "
-                    f"for {STALL_ITERS} iterations",
-                )
 
-        delta = _newton_direction(grid, 4.0 * phi * E, G)
+        delta = _newton_direction(grid, 4.0 * coupling, G)
         if delta is None:
+            if a < 0:
+                break
             return _package(
                 p, v, iterations, SolveStatus.INFEASIBLE,
                 "CG breakdown: linear solve produced a non-finite direction",
             )
-        dsup = float(np.abs(delta).max())
-        if dsup > TRUST_RADIUS:
-            delta *= TRUST_RADIUS / dsup
 
-        # backtracking on sup|G|; if nothing decreases, take the least bad
-        # candidate and let the stall certificate arbitrate.  The chosen
-        # candidate's residual is finite and starts the next iteration.
+        # E(v + alpha*delta) - E(v), expanded around v so that no two
+        # nearly equal energies are subtracted; a step that overflows
+        # gives inf or nan and is rejected
+        slope = float(np.mean(G * delta))
+        curvature = -float(np.mean(delta * grid.laplacian(delta)))
         alpha = 1.0
-        chosen = None
-        chosen_sup = np.inf
-        for _bt in range(9):
-            cand = v + alpha * delta
-            Ec, Gc = state(cand)
-            csup = float(np.abs(Gc).max()) if np.isfinite(Gc).all() else np.inf
-            if csup < chosen_sup:
-                chosen = (cand, alpha, Ec, Gc)
-                chosen_sup = csup
-            if csup <= (1.0 - 1e-4 * alpha) * gsup:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _bt in range(9):
+                t = 2.0 * alpha * delta
+                change = alpha * (0.5 * alpha * curvature - slope) + float(
+                    np.mean(coupling * (np.expm1(t) - t)))
+                if change <= -1e-4 * alpha * slope:
+                    break
+                alpha *= 0.5
+            else:
                 break
-            alpha *= 0.5
-        if chosen is None:
-            return _package(
-                p, v, iterations, SolveStatus.INFEASIBLE,
-                "norm blow-up: no finite step candidate",
-            )
-        v, applied_alpha, E, G = chosen
-        last_step = applied_alpha * float(np.abs(delta).max())
+        v = v + alpha * delta
+        coupling, G = state(v)
+        last_step = alpha * float(np.abs(delta).max())
         iterations += 1
 
     return _package(p, v, iterations, SolveStatus.INDETERMINATE, None)

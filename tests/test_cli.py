@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -152,6 +153,16 @@ def test_vortex_solve_feasible(runner):
     assert payload["feasible"] is True
     assert payload["residual_sup"] == 0.0
     assert payload["tau"] == 0.5 and payload["tau_prime"] == -0.5
+    # extreme coupling levels: the solutions sit near v = 51..58 and v = -229,
+    # where a false "norm blow-up" once fired
+    for profile in ("constant:1e-50", "cosine:1e-50:9e-51", "constant:1e200"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0",
+                                       "--sigma", "2", "--profile", profile])
+        assert res.exit_code == 0, (profile, res.output)
+        assert json.loads(res.stdout)["status"] == "feasible", profile
+        assert res.stderr == "" and not caught, (profile, res.stderr, caught)
 
 
 def test_vortex_solve_infeasible_exit_and_certificate(runner):

@@ -38,10 +38,13 @@ class BandProfile(PhiProfile):
     """Nonnegative coupling that vanishes on most of the torus; stands in
     for a section with zeros (the d1 > d2 situation)."""
 
+    def __init__(self, level=1.0):
+        self.level = level
+
     def sample(self, grid):
         x, y = grid.coords()
         w = np.clip(np.cos(TWO_PI * x) * np.cos(TWO_PI * y) - 0.5, 0.0, None)
-        return w * w
+        return self.level * w * w
 
 
 def test_grid_validation():
@@ -137,10 +140,19 @@ def test_residual_exact_zero_at_constant_solution():
 
 
 def test_residual_value_away_from_solution():
-    p = build_problem(64, 0, 0, 2.0, ConstantProfile(float(np.pi)))
-    z = np.zeros(p.grid.shape)
-    assert residual(p, z, z).l2 == pytest.approx(np.pi * np.sqrt(2.0), abs=1e-14)
-    assert residual(p, z, z).sup == pytest.approx(np.pi, abs=1e-14)
+    # at v = 0 the defects are +-(level - pi*sigma): size pi for level pi
+    # at sigma 2, and 1e200 (whose square overflows) for level 1e200
+    for sigma, level in ((2.0, float(np.pi)), (-1.0, 1e200)):
+        p = build_problem(64, 0, 0, sigma, ConstantProfile(level))
+        z = np.zeros(p.grid.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = residual(p, z, z)
+            s = solve(p)
+        assert rep.l2 == pytest.approx(level * np.sqrt(2.0), rel=1e-15)
+        assert rep.sup == pytest.approx(level, rel=1e-15)
+        if sigma < 0:
+            assert s.residual_l2 == rep.l2 and s.residual_sup == rep.sup
 
 
 def test_residual_shift_invariance():
@@ -207,6 +219,8 @@ def test_solve_constant_sigma_two_closed_form():
     p = build_problem(64, 0, 0, 2.0, ConstantProfile(float(np.pi)))
     s = solve(p, tol=1e-12)
     assert s.feasible
+    # Newton starts at the constant that balances the integral budget
+    assert s.iterations == 0
     v = s.u1 - s.u2
     assert np.abs(v - 0.5 * np.log(2.0)).max() < 1e-12
     assert s.residual_sup < 1e-12
@@ -245,18 +259,21 @@ def test_solve_threshold_boundary_is_infeasible():
 def test_obstruction_fires_exactly_at_and_below_threshold():
     # the proof: with a = 2*pi*(d1 - d2 - sigma) >= 0, the mean of
     # G(v) = lap(v) - a - 2*phi_sq*e^{2v} is negative for every field v;
-    # lap is recomputed here with numpy.fft, not the grid's operator
+    # lap is recomputed here with numpy.fft, not the grid's operator.
+    # Above the threshold every solve, at every coupling scale, is feasible.
     rng = np.random.default_rng(5)
-    cases = itertools.product((16, 32), range(3), range(3), range(3))
-    for n, which_profile, which_sigma, _ in cases:
+    cases = itertools.product(
+        (16, 32), range(3), range(3), range(3), (1e-50, 1e-8, 1.0, 1e8, 1e200)
+    )
+    for n, which_profile, which_sigma, _, scale in cases:
         d2 = int(rng.integers(-2, 3))
         d1 = d2 + int(rng.integers(-1, 3))
         gap = d1 - d2
-        level = float(rng.uniform(0.05, 5.0))
+        level = float(rng.uniform(0.05, 5.0)) * scale
         profile = (
             ConstantProfile(level),
             CosineProfile(level, float(rng.uniform(0.0, 0.99)) * level),
-            BandProfile(),
+            BandProfile(scale),
         )[which_profile]
         sigma = (
             float(gap),
@@ -264,8 +281,13 @@ def test_obstruction_fires_exactly_at_and_below_threshold():
             gap + float(rng.uniform(0.05, 2.0)),
         )[which_sigma]
         p = build_problem(n, d1, d2, sigma, profile)
-        assert _obstructed(solve(p)) == (sigma <= gap), (n, d1, d2, sigma, profile)
+        s = solve(p)
+        assert _obstructed(s) == (sigma <= gap), (n, d1, d2, sigma, profile)
         if sigma > gap:
+            assert s.status is SolveStatus.FEASIBLE, (n, d1, d2, sigma, profile, s.status)
+            continue
+        if scale != 1.0:
+            # at a = 0 a coupling of 1e-50 sinks below the rounding of mean(lap v)
             continue
         a = TWO_PI * (gap - sigma)
         k = np.fft.fftfreq(n, 1.0 / n)
