@@ -23,7 +23,6 @@ from .invariants import (
     slope,
 )
 from .stability import (
-    SlopeThresholds,
     StabilityStatus,
     StabilityVerdict,
     classify_line_pair,
@@ -32,8 +31,6 @@ from .stability import (
     kernel_image_identity,
     mu_sigma,
     sigma_from_tau,
-    slope_thresholds,
-    tau_from_sigma,
     tau_prime,
     theta_tau,
 )
@@ -51,12 +48,9 @@ from .chambers import (
     small_tau_window,
 )
 from .extensions import (
-    ExtensionInvariants,
     SlopeEquivalence,
     check_slope_equivalence,
     dual_parameter,
-    extension_invariants,
-    subextension_slope,
 )
 __version__ = "0.1.0"
 
@@ -72,7 +66,6 @@ __all__ = [
     "dual_invariants",
     "dual_subtriple",
     "slope",
-    "SlopeThresholds",
     "StabilityStatus",
     "StabilityVerdict",
     "classify_line_pair",
@@ -81,8 +74,6 @@ __all__ = [
     "kernel_image_identity",
     "mu_sigma",
     "sigma_from_tau",
-    "slope_thresholds",
-    "tau_from_sigma",
     "tau_prime",
     "theta_tau",
     "ChamberDecomposition",
@@ -96,18 +87,14 @@ __all__ = [
     "projectivity_flags",
     "sigma_interval",
     "small_tau_window",
-    "ExtensionInvariants",
     "SlopeEquivalence",
     "check_slope_equivalence",
     "dual_parameter",
-    "extension_invariants",
-    "subextension_slope",
     "ConstantProfile",
     "CosineProfile",
     "DiagonalReport",
     "PhiProfile",
     "ResidualReport",
-    "ScalarReduction",
     "SolveStatus",
     "SweepRow",
     "SweepWarning",
@@ -117,7 +104,6 @@ __all__ = [
     "ZeroProfile",
     "build_problem",
     "integral_identity_check",
-    "reduce_to_scalar",
     "residual",
     "solve",
     "solve_diagonal",

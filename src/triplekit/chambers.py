@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional
 
 from .invariants import ParameterRangeError, Rational, TripleInvariants
@@ -49,12 +50,14 @@ class ParameterInterval:
         return self.upper is None or tau < self.upper
 
 
+@lru_cache(maxsize=128)
 def parameter_interval(T: TripleInvariants) -> ParameterInterval:
     """Admissible open interval for the tau parameter.
 
     Lower endpoint is the slope of the first bundle; the upper endpoint is
     finite only for distinct ranks, where it sits at
-    mu1 + (r2/|r1-r2|)(mu1 - mu2).
+    mu1 + (r2/|r1-r2|)(mu1 - mu2).  Memoized: is_generic asks for it once
+    per query, typically for many taus of one triple.
     """
     lower = T.mu1
     if T.r1 == T.r2:

@@ -40,13 +40,7 @@ from .invariants import (
     TripleInvariants,
     dual_invariants,
 )
-from .stability import (
-    sigma_from_tau,
-    slope_thresholds,
-    tau_from_sigma,
-    tau_prime,
-    theta_tau,
-)
+from .stability import mu_sigma, sigma_from_tau, tau_prime, theta_tau
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -175,7 +169,7 @@ def convert(triple: str, tau_text: Optional[str], sigma_text: Optional[str], fmt
     if tau_text is not None:
         tau = _parse_rational(tau_text, "--tau")
     else:
-        tau = tau_from_sigma(T, _parse_rational(sigma_text, "--sigma"))
+        tau = mu_sigma(T, _parse_rational(sigma_text, "--sigma"))
     _emit(
         {
             "tau": _rat(tau),
@@ -201,12 +195,15 @@ def bounds(triple: str, tau_text: Optional[str], genus: Optional[int], fmt: str)
         "small_tau_window": _rat(small_tau_window(T)),
     }
     if tau_text is not None:
-        th = slope_thresholds(T, _parse_rational(tau_text, "--tau"))
+        # a stable triple bounds subobject slopes above and quotient
+        # slopes below by tau (first bundle) and tau' (second bundle)
+        tau = _parse_rational(tau_text, "--tau")
+        t, tp = _rat(tau), _rat(tau_prime(T, tau))
         payload["thresholds"] = {
-            "sub_E1_bound": _rat(th.sub_E1_bound),
-            "sub_kernel_bound": _rat(th.sub_kernel_bound),
-            "quot_E2_bound": _rat(th.quot_E2_bound),
-            "quot_E1_bound": _rat(th.quot_E1_bound),
+            "sub_E1_bound": t,
+            "sub_kernel_bound": tp,
+            "quot_E2_bound": tp,
+            "quot_E1_bound": t,
         }
     if genus is not None:
         payload["fibration_bound"] = fibration_bound(T, genus)

@@ -3,10 +3,11 @@
 The central object is the functional theta_tau: a subobject destabilizes
 when it is positive, sits on a wall when it is zero.  Equivalently one can
 compare sigma-slopes; the two viewpoints are related by an exact change of
-parameter (tau <-> sigma) implemented here, together with the slope bounds
-they impose on subbundles and quotients, complete classifications for the
-two degenerate families we can decide from invariants alone (zero map;
-a pair of line bundles), and the weighted kernel/image identity.
+parameter implemented here (sigma_from_tau one way; mu_sigma of the triple,
+its sigma-slope, is the tau that belongs to sigma), together with the
+companion parameter tau', complete classifications for the two degenerate
+families we can decide from invariants alone (zero map; a pair of line
+bundles), and the weighted kernel/image identity.
 
 Everything is exact Fraction arithmetic.
 """
@@ -55,7 +56,8 @@ def mu_sigma(inv: Invariants, sigma: Rational) -> Rational:
     """sigma-slope: (d1 + d2 + r2*sigma) / (r1 + r2).
 
     Works for a triple or a subobject; only the second-slot rank feels
-    the sigma weighting.
+    the sigma weighting.  For the triple itself it is the tau that belongs
+    to sigma, the inverse of sigma_from_tau.
     """
     if inv.total_rank < 1:
         raise InvalidRankError("sigma-slope needs total rank >= 1")
@@ -67,42 +69,16 @@ def sigma_from_tau(T: TripleInvariants, tau: Rational) -> Rational:
     return Fraction(T.total_rank * Fraction(tau) - T.total_degree, T.r2)
 
 
-def tau_from_sigma(T: TripleInvariants, sigma: Rational) -> Rational:
-    """Parameter change sigma -> tau: the sigma-slope of the full triple."""
-    return mu_sigma(T, sigma)
-
-
 def tau_prime(T: TripleInvariants, tau: Rational) -> Rational:
     """Companion parameter: r1*tau + r2*tau' = d1 + d2, so
-    tau' = (d1 + d2 - r1*tau)/r2.  Satisfies tau - tau' = sigma exactly."""
-    return Fraction(T.total_degree - T.r1 * Fraction(tau), T.r2)
+    tau' = (d1 + d2 - r1*tau)/r2.  Satisfies tau - tau' = sigma exactly.
 
-
-@dataclass(frozen=True)
-class SlopeThresholds:
-    """Slope bounds a stable triple imposes on subobjects and quotients.
-
-    Subbundles of the first component must have slope < sub_E1_bound (tau);
-    subbundles of the second sitting inside the kernel of the map must stay
-    < sub_kernel_bound (tau'); quotient slopes are bounded below by the
-    same two numbers on the other side.
+    tau and tau' are the slope bounds a stable triple imposes: subbundles
+    of the first bundle have slope < tau, subbundles of the second inside
+    the kernel of the map slope < tau', and quotients of the second and
+    first bundles are bounded below by tau' and tau.
     """
-
-    sub_E1_bound: Rational
-    sub_kernel_bound: Rational
-    quot_E2_bound: Rational
-    quot_E1_bound: Rational
-
-
-def slope_thresholds(T: TripleInvariants, tau: Rational) -> SlopeThresholds:
-    tau = Fraction(tau)
-    tp = tau_prime(T, tau)
-    return SlopeThresholds(
-        sub_E1_bound=tau,
-        sub_kernel_bound=tp,
-        quot_E2_bound=tp,
-        quot_E1_bound=tau,
-    )
+    return Fraction(T.total_degree - T.r1 * Fraction(tau), T.r2)
 
 
 class StabilityStatus(str, Enum):

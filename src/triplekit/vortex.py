@@ -96,14 +96,6 @@ class TorusGrid:
             raise ValueError(f"grid size must be even and >= 16, got {self.n}")
 
     @property
-    def spacing(self) -> float:
-        return 1.0 / self.n
-
-    @property
-    def cell_weight(self) -> float:
-        return 1.0 / self.n**2
-
-    @property
     def shape(self) -> Tuple[int, int]:
         return (self.n, self.n)
 
@@ -120,9 +112,6 @@ class TorusGrid:
             raise ValueError(f"field shape {f.shape} does not match grid {self.shape}")
         g = f - f.mean()
         return np.fft.ifft2(_laplacian_multiplier(self.n) * np.fft.fft2(g)).real
-
-    def integrate(self, f: np.ndarray) -> float:
-        return float(f.mean())
 
 
 class PhiProfile:
@@ -182,7 +171,8 @@ class VortexProblem:
 
     Backgrounds carry the constant curvatures c1 = 2*pi*d1, c2 = 2*pi*d2;
     phi_sq is the sampled coupling density (pointwise |phi|^2 of a section
-    in the background metrics, a nonnegative field).
+    in the background metrics, a nonnegative field).  A problem is built
+    only from finite data that meets the trace condition.
     """
 
     grid: TorusGrid
@@ -197,16 +187,24 @@ class VortexProblem:
             raise ValueError(
                 f"phi_sq shape {self.phi_sq.shape} does not match grid {self.grid.shape}"
             )
+        if not all(math.isfinite(x) for x in (self.tau, self.tau_prime, self.sigma)):
+            raise ValueError(
+                f"tau, tau_prime and sigma must be finite, got tau={self.tau}, "
+                f"tau_prime={self.tau_prime}"
+            )
+        if not np.isfinite(self.phi_sq).all():
+            raise ValueError("phi_sq must be finite everywhere")
         if np.min(self.phi_sq) < 0:
             raise ConstraintViolationError("phi_sq must be nonnegative everywhere")
-
-    @property
-    def c1(self) -> float:
-        return TWO_PI * self.d1
-
-    @property
-    def c2(self) -> float:
-        return TWO_PI * self.d2
+        # adding the two equations leaves lap(u1 + u2) = 2*pi*(tau + tau_prime
+        # - d1 - d2), solvable on the torus only when the constant vanishes;
+        # then u1 + u2 is constant (gauged to zero) and v = u1 - u2 carries
+        # everything.  Written so that a NaN defect fails it.
+        if not abs((self.tau + self.tau_prime) - (self.d1 + self.d2)) < TRACE_TOL:
+            raise ConstraintViolationError(
+                f"trace condition violated: tau + tau_prime = {self.tau + self.tau_prime!r} "
+                f"but d1 + d2 = {self.d1 + self.d2}"
+            )
 
     @property
     def sigma(self) -> float:
@@ -251,44 +249,13 @@ def residual(p: VortexProblem, u1: np.ndarray, u2: np.ndarray) -> ResidualReport
             f"field shapes {u1.shape}, {u2.shape} do not match grid {p.grid.shape}"
         )
     coupling = p.phi_sq * np.exp(2.0 * (u1 - u2))
-    res1 = p.c1 - p.grid.laplacian(u1) + coupling - TWO_PI * p.tau
-    res2 = p.c2 - p.grid.laplacian(u2) - coupling - TWO_PI * p.tau_prime
+    res1 = TWO_PI * p.d1 - p.grid.laplacian(u1) + coupling - TWO_PI * p.tau
+    res2 = TWO_PI * p.d2 - p.grid.laplacian(u2) - coupling - TWO_PI * p.tau_prime
     sup = float(max(np.abs(res1).max(), np.abs(res2).max()))
     # scaled by sup before squaring, so defects near 1e200 do not overflow
     scale = sup if 0.0 < sup < np.inf else 1.0
     l2 = scale * float(np.sqrt(np.mean((res1 / scale) ** 2 + (res2 / scale) ** 2)))
     return ResidualReport(res1=res1, res2=res2, sup=sup, l2=l2)
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarReduction:
-    """Reduction of the coupled system to one scalar equation.
-
-    difference_rhs is the right-hand side of lap(v) = rhs(v) evaluated at
-    v = 0; its mean, 2*pi*(d1 - d2 - sigma) + 2*mean(phi_sq), is the
-    solvability budget Newton has to spend.
-    """
-
-    difference_rhs: np.ndarray
-
-
-def reduce_to_scalar(p: VortexProblem) -> ScalarReduction:
-    """Check the trace condition and expose the reduced equation's data.
-
-    When tau + tau_prime = d1 + d2 the sum equation is lap(u1+u2) = 0,
-    forcing u1 + u2 constant (gauged to zero), and everything lives in
-    v = u1 - u2 with lap(v) = 2*pi*(d1-d2) - 2*pi*sigma + 2*phi_sq*e^{2v}.
-    A violated trace condition leaves the sum equation with a nonzero-mean
-    right side, unsolvable on the torus.
-    """
-    defect = abs((p.tau + p.tau_prime) - (p.d1 + p.d2))
-    if defect >= TRACE_TOL:
-        raise ConstraintViolationError(
-            f"trace condition violated: tau + tau_prime = {p.tau + p.tau_prime!r} "
-            f"but d1 + d2 = {p.d1 + p.d2}"
-        )
-    rhs0 = TWO_PI * (p.d1 - p.d2) - TWO_PI * p.sigma + 2.0 * p.phi_sq
-    return ScalarReduction(difference_rhs=rhs0)
 
 
 class SolveStatus(str, Enum):
@@ -395,7 +362,6 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    reduce_to_scalar(p)
     proof = _obstruction(p, _forcing(p))
     return proof if proof is not None else _newton(p, tol, max_iter)
 
@@ -533,7 +499,7 @@ def integral_identity_check(p: VortexProblem, s: VortexSolution) -> float:
             "integral identity is only meaningful for a feasible solution"
         )
     v = s.u1 - s.u2
-    quad = p.grid.integrate(2.0 * p.phi_sq * np.exp(2.0 * v))
+    quad = float(np.mean(2.0 * p.phi_sq * np.exp(2.0 * v)))
     return abs(quad - TWO_PI * (p.sigma - (p.d1 - p.d2)))
 
 
@@ -602,13 +568,18 @@ class DiagonalReport:
     """Componentwise solves of a diagonal (direct-sum) system.
 
     Behaves as a list of the component solutions; aggregate feasibility
-    requires every component feasible and no component error.
+    requires every component feasible.
     """
 
-    solutions: List[Optional[VortexSolution]]
-    feasible: bool
-    failed_indices: List[int]
-    errors: List[Tuple[int, str]]
+    solutions: List[VortexSolution]
+
+    @property
+    def failed_indices(self) -> List[int]:
+        return [i for i, s in enumerate(self.solutions) if not s.feasible]
+
+    @property
+    def feasible(self) -> bool:
+        return not self.failed_indices
 
     def __iter__(self):
         return iter(self.solutions)
@@ -625,31 +596,8 @@ def solve_diagonal(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> DiagonalReport:
-    """Independent solves of the components of a diagonal system.
-
-    Errors are collected per component instead of short-circuiting, so one
-    malformed component does not hide the others' verdicts.
-    """
-    solutions: List[Optional[VortexSolution]] = []
-    errors: List[Tuple[int, str]] = []
-    failed: List[int] = []
-    for i, prob in enumerate(problems):
-        try:
-            sol = solve(prob, tol=tol, max_iter=max_iter)
-        except ValueError as exc:
-            solutions.append(None)
-            errors.append((i, str(exc)))
-            failed.append(i)
-            continue
-        solutions.append(sol)
-        if not sol.feasible:
-            failed.append(i)
-    return DiagonalReport(
-        solutions=solutions,
-        feasible=not failed,
-        failed_indices=failed,
-        errors=errors,
-    )
+    """Independent solves of the components of a diagonal system."""
+    return DiagonalReport([solve(p, tol=tol, max_iter=max_iter) for p in problems])
 
 
 def write_fields_csv(path: str, p: VortexProblem, s: VortexSolution) -> None:

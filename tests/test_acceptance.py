@@ -32,7 +32,6 @@ from triplekit import (
     mu_sigma,
     residual,
     solve,
-    tau_from_sigma,
     theta_tau,
 )
 from triplekit.vortex import TWO_PI, _newton
@@ -57,7 +56,7 @@ def test_criterion_1_definition_sign_equivalence():
         T = random_triple(rng, max_rank=6, max_deg=20)
         Tp = random_subtriple(rng, T, max_deg=20)
         sigma = random_sigma(rng, max_num=60, max_den=12)
-        tau = tau_from_sigma(T, sigma)
+        tau = mu_sigma(T, sigma)
         th = theta_tau(T, Tp, tau)
         diff = mu_sigma(Tp, sigma) - mu_sigma(T, sigma)
         assert (th > 0) == (diff > 0) and (th == 0) == (diff == 0)
@@ -74,7 +73,7 @@ def test_criterion_2_duality_involution():
         T = random_triple(rng, max_rank=6, max_deg=20)
         Tp = random_dualizable_subtriple(rng, T, max_deg=20)
         sigma = random_sigma(rng, max_num=60, max_den=12)
-        tau = tau_from_sigma(T, sigma)
+        tau = mu_sigma(T, sigma)
         th = theta_tau(T, Tp, tau)
         th_dual = theta_tau(dual_invariants(T), dual_subtriple(T, Tp), dual_parameter(T, tau))
         assert (th < 0) == (th_dual < 0) and (th == 0) == (th_dual == 0)

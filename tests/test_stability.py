@@ -19,8 +19,6 @@ from triplekit import (
     kernel_image_identity,
     mu_sigma,
     sigma_from_tau,
-    slope_thresholds,
-    tau_from_sigma,
     tau_prime,
     theta_tau,
 )
@@ -68,9 +66,10 @@ def test_parameter_conversions_examples():
     assert sigma_from_tau(T, 2) == 3
     assert sigma_from_tau(T, T.mu) == 0
     assert sigma_from_tau(TripleInvariants(2, 1, 2, 0), Fraction(4, 3)) == 2
-    assert tau_from_sigma(T, 3) == 2
-    assert tau_from_sigma(T, 0) == T.mu
-    assert tau_from_sigma(TripleInvariants(2, 1, 2, 0), 2) == Fraction(4, 3)
+    # the sigma-slope of the triple is the tau that belongs to sigma
+    assert mu_sigma(T, 3) == 2
+    assert mu_sigma(T, 0) == T.mu
+    assert mu_sigma(TripleInvariants(2, 1, 2, 0), 2) == Fraction(4, 3)
     assert tau_prime(T, 2) == -1
     assert tau_prime(T, T.mu) == T.mu
     assert tau_prime(TripleInvariants(2, 1, 2, 0), 1) == 0
@@ -78,37 +77,21 @@ def test_parameter_conversions_examples():
 
 @given(triples, rationals)
 def test_round_trip_and_sigma_is_tau_minus_tau_prime(T, x):
-    assert sigma_from_tau(T, tau_from_sigma(T, x)) == x
-    assert tau_from_sigma(T, sigma_from_tau(T, x)) == x
+    assert sigma_from_tau(T, mu_sigma(T, x)) == x
+    assert mu_sigma(T, sigma_from_tau(T, x)) == x
     assert x - tau_prime(T, x) == sigma_from_tau(T, x)
 
 
 def test_slope_thresholds_examples():
-    th = slope_thresholds(TripleInvariants(2, 1, 2, 0), Fraction(4, 3))
-    assert (th.sub_E1_bound, th.sub_kernel_bound, th.quot_E2_bound, th.quot_E1_bound) == (
-        Fraction(4, 3),
-        Fraction(-2, 3),
-        Fraction(-2, 3),
-        Fraction(4, 3),
-    )
-    fixed = slope_thresholds(TripleInvariants(1, 1, 1, 0), Fraction(1, 2))
-    assert fixed == slope_thresholds(TripleInvariants(1, 1, 1, 0), Fraction(1, 2))
-    assert fixed.sub_E1_bound == fixed.sub_kernel_bound == Fraction(1, 2)
+    # the first-bundle bound is tau itself, the kernel bound tau'
+    assert tau_prime(TripleInvariants(2, 1, 2, 0), Fraction(4, 3)) == Fraction(-2, 3)
+    # equal ranks: tau = mu(T) is the fixed point where the two bounds meet
+    assert tau_prime(TripleInvariants(1, 1, 1, 0), Fraction(1, 2)) == Fraction(1, 2)
     # sigma-form of the first-bundle bound: mu(T) + r2*sigma/(r1+r2) at
     # tau = mu_sigma(T) is tau itself
     T = TripleInvariants(1, 1, 1, 0)
     sigma = Fraction(3)
-    tau = tau_from_sigma(T, sigma)
-    assert T.mu + Fraction(T.r2, T.total_rank) * sigma == tau
-
-
-def test_threshold_gap_is_sigma():
-    rng = random.Random(7)
-    for _ in range(300):
-        T = random_triple(rng)
-        tau = random_sigma(rng)
-        th = slope_thresholds(T, tau)
-        assert th.sub_E1_bound - th.sub_kernel_bound == sigma_from_tau(T, tau)
+    assert T.mu + Fraction(T.r2, T.total_rank) * sigma == mu_sigma(T, sigma)
 
 
 def test_evaluate_stability_three_verdicts():
@@ -227,7 +210,7 @@ def test_sign_equivalence_of_theta_and_sigma_slope():
         T = random_triple(rng)
         Tp = random_subtriple(rng, T)
         sigma = random_sigma(rng)
-        tau = tau_from_sigma(T, sigma)
+        tau = mu_sigma(T, sigma)
         th = theta_tau(T, Tp, tau)
         diff = mu_sigma(Tp, sigma) - mu_sigma(T, sigma)
         assert (th > 0) == (diff > 0)
