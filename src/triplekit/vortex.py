@@ -20,7 +20,9 @@ solvability threshold this module is built to exhibit.  The discrete
 Laplacian is spectral (Fourier multiplier -4*pi^2*|k|^2), so constants are
 annihilated exactly and integration by parts is exact; the nonlinear solve
 is a damped Newton iteration with a spectrally preconditioned CG inner
-solve.
+solve.  Every field is real, so both the Laplacian and the preconditioner
+work on the half spectrum of the real FFT (rfft2/irfft2), which holds all
+of a real field's Fourier data in (n, n//2 + 1) coefficients.
 
 Nonexistence is proved for sigma <= d1 - d2: the spectral Laplacian has
 mean exactly zero, so the mean of the reduced equation's defect is
@@ -65,9 +67,11 @@ class SweepWarning(RuntimeWarning):
 
 
 @lru_cache(maxsize=16)
-def _laplacian_multiplier(n: int) -> np.ndarray:
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    mult = -4.0 * np.pi**2 * (k[:, None] ** 2 + k[None, :] ** 2)
+def _half_multiplier(n: int) -> np.ndarray:
+    """-4*pi^2*|k|^2 on the (n, n//2 + 1) half spectrum of rfft2."""
+    kx = np.fft.fftfreq(n, d=1.0 / n)
+    ky = np.fft.rfftfreq(n, d=1.0 / n)
+    mult = -4.0 * np.pi**2 * (kx[:, None] ** 2 + ky[None, :] ** 2)
     mult.setflags(write=False)
     return mult
 
@@ -105,13 +109,15 @@ class TorusGrid:
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Spectral torus Laplacian (multiplier -4*pi^2*|k|^2).
 
-        The mean is subtracted before transforming so constant fields map
-        to exactly zero instead of FFT roundoff.
+        A real field has a Hermitian-symmetric spectrum, so the multiplier
+        acts on the half spectrum of rfft2 and irfft2 returns the real
+        result.  The mean is subtracted before transforming so constant
+        fields map to exactly zero instead of FFT roundoff.
         """
         if f.shape != self.shape:
             raise ValueError(f"field shape {f.shape} does not match grid {self.shape}")
         g = f - f.mean()
-        return np.fft.ifft2(_laplacian_multiplier(self.n) * np.fft.fft2(g)).real
+        return np.fft.irfft2(_half_multiplier(self.n) * np.fft.rfft2(g), s=self.shape)
 
 
 class PhiProfile:
@@ -172,7 +178,8 @@ class VortexProblem:
     Backgrounds carry the constant curvatures c1 = 2*pi*d1, c2 = 2*pi*d2;
     phi_sq is the sampled coupling density (pointwise |phi|^2 of a section
     in the background metrics, a nonnegative field).  A problem is built
-    only from finite data that meets the trace condition.
+    only from finite data that meets the trace condition, with degrees
+    that fit a float.
     """
 
     grid: TorusGrid
@@ -183,6 +190,7 @@ class VortexProblem:
     phi_sq: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_degrees(self.d1, self.d2)
         if self.phi_sq.shape != self.grid.shape:
             raise ValueError(
                 f"phi_sq shape {self.phi_sq.shape} does not match grid {self.grid.shape}"
@@ -211,6 +219,16 @@ class VortexProblem:
         return self.tau - self.tau_prime
 
 
+def _check_degrees(d1: int, d2: int) -> None:
+    """The degrees enter the equations as floats: c_i = 2*pi*d_i, the trace
+    d1 + d2 and the gap d1 - d2.  Reject those that do not fit one."""
+    for name, d in (("d1", d1), ("d2", d2), ("d1 + d2", d1 + d2), ("d1 - d2", d1 - d2)):
+        try:
+            float(d)
+        except OverflowError:
+            raise ValueError(f"{name} does not fit a float") from None
+
+
 def build_problem(
     n: int,
     d1: int,
@@ -226,6 +244,7 @@ def build_problem(
     """
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
+    _check_degrees(d1, d2)
     grid = TorusGrid(n)
     tau = 0.5 * (d1 + d2 + sigma)
     tp = 0.5 * (d1 + d2 - sigma)
@@ -292,13 +311,14 @@ def _newton_direction(
 
     diag = 4*phi_sq*e^{2v} >= 0 with positive mean, so the operator is
     symmetric positive definite; the preconditioner inverts -lap + mean(diag)
-    spectrally, which tracks the diagonal as it decays and keeps the
-    conditioning bounded during infeasible drifts.  The loop runs on the
-    n-by-n fields, from delta = 0, until |r| < 1e-10 |G| or 400 iterations.
+    spectrally, dividing the rfft2 half spectrum by its symbol, which tracks
+    the diagonal as it decays and keeps the conditioning bounded during
+    infeasible drifts.  The loop runs on the n-by-n fields, from delta = 0,
+    until |r| < 1e-10 |G| or 400 iterations.
     """
-    mult = _laplacian_multiplier(grid.n)
     diag = np.maximum(diag, DIAG_FLOOR)
     dbar = float(diag.mean())
+    symbol = dbar - _half_multiplier(grid.n)
     x = np.zeros_like(G)
     with np.errstate(all="ignore"):
         g_norm = np.linalg.norm(G)
@@ -310,7 +330,7 @@ def _newton_direction(
         for _ in range(400):
             if np.linalg.norm(r) < stop:
                 break
-            z = np.fft.ifft2(np.fft.fft2(r) / (-mult + dbar)).real
+            z = np.fft.irfft2(np.fft.rfft2(r) / symbol, s=grid.shape)
             rho = np.dot(r.ravel(), z.ravel())
             if rho_prev is None:
                 p = z.copy()

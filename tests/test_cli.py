@@ -220,6 +220,13 @@ def test_vortex_solve_rejects_bad_grid_and_profile(runner):
         res = runner.invoke(main, base + args)
         assert res.exit_code == 2, args
         assert res.stdout == "", args
+    # degrees too large for a float are input errors, not an OverflowError
+    big = str(10**400)
+    for d1, d2 in ((big, "0"), ("0", "-" + big), (str(10**308), str(-(10**308)))):
+        res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", d1, "--d2", d2,
+                                   "--sigma", "1", "--profile", "constant:1"])
+        assert res.exit_code == 2, (d1, d2)
+        assert res.stdout == "" and res.stderr.startswith("error: "), (d1, d2)
 
 
 def test_vortex_sweep_json(runner):
@@ -264,6 +271,12 @@ def test_vortex_sweep_rejects_unsorted_and_garbage(runner):
                                    "--sigmas", sigmas, "--profile", "constant:1"])
         assert res.exit_code == 2, sigmas
         assert res.stdout == "", sigmas
+    big = str(10**400)
+    for d1, d2 in ((big, "0"), ("0", "-" + big), (str(10**308), str(-(10**308)))):
+        res = runner.invoke(main, ["vortex-sweep", "--n", "16", "--d1", d1, "--d2", d2,
+                                   "--sigmas", "0.5,1", "--profile", "constant:1"])
+        assert res.exit_code == 2, (d1, d2)
+        assert res.stdout == "" and res.stderr.startswith("error: "), (d1, d2)
 
 
 def test_exact_commands_do_not_import_numpy():

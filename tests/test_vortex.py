@@ -1,6 +1,7 @@
 import csv
 import itertools
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -111,6 +112,26 @@ def test_laplacian_mean_zero_on_smooth_fields():
             assert abs(grid.laplacian(f).mean()) < 1e-13
 
 
+def test_laplacian_matches_complex_fft_reference():
+    # the grid's operator works on the rfft2 half spectrum; the reference
+    # transforms the full spectrum with the complex fft2 and its own
+    # multiplier.  Rounding in the high modes is scaled by max|k|^2 ~ n^2/2
+    # against a smooth field's O(1) Laplacian, so that bound grows with n^2;
+    # a white-noise field's Laplacian is itself dominated by those modes.
+    rng = np.random.default_rng(17)
+    for n in (16, 32, 64, 128, 256):
+        grid = TorusGrid(n)
+        k = np.fft.fftfreq(n, 1.0 / n)
+        mult = -4.0 * np.pi**2 * (k[:, None] ** 2 + k[None, :] ** 2)
+        smooth = [smooth_field(n, 5, 1.0, rng) + rng.uniform(-3.0, 3.0) for _ in range(3)]
+        noise = [rng.standard_normal(grid.shape) for _ in range(3)]
+        for fields, bound in ((smooth, 1e-16 * n**2), (noise, 1e-14)):
+            for f in fields:
+                ref = np.fft.ifft2(mult * np.fft.fft2(f - f.mean())).real
+                rel = np.abs(grid.laplacian(f) - ref).max() / np.abs(ref).max()
+                assert rel < bound, (n, rel, bound)
+
+
 def test_laplacian_shape_check():
     grid = TorusGrid(32)
     with pytest.raises(ValueError):
@@ -204,6 +225,19 @@ def test_problem_rejects_broken_trace_and_non_finite_data():
     ):
         with pytest.raises(ValueError, match="finite"):
             VortexProblem(grid=grid, d1=0, d2=0, tau=tau, tau_prime=tau_prime, phi_sq=phi_sq)
+    # degrees enter the equations as floats; unchecked, a degree of 10**400
+    # makes build_problem raise OverflowError, which the CLI does not catch
+    big = 10**400
+    for d1, d2, name in (
+        (big, 0, "d1"),
+        (0, -big, "d2"),
+        (10**308, 10**308, "d1 + d2"),
+        (10**308, -(10**308), "d1 - d2"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{name} does not fit a float")):
+            build_problem(16, d1, d2, 1.0, ConstantProfile(1.0))
+        with pytest.raises(ValueError, match=re.escape(f"{name} does not fit a float")):
+            VortexProblem(grid=grid, d1=d1, d2=d2, tau=0.0, tau_prime=0.0, phi_sq=ones)
 
 
 def test_solve_constant_sigma_one_is_exact():
@@ -500,24 +534,43 @@ def _dense_operator(grid, diag):
 
 
 def test_newton_direction_matches_dense_solve():
-    grid = TorusGrid(16)
-    x, _ = grid.coords()
+    # two sizes, so the Nyquist column of the half spectrum is exercised twice
     rng = np.random.default_rng(31)
-    decaying = np.logspace(-8.0, 0.0, 16 * 16).reshape(grid.shape)
-    # zero on half the torus, as where the coupling vanishes: the floor
-    # lifts those cells to DIAG_FLOOR; an all-floor diagonal would leave the
-    # dense reference numerically singular (condition number ~1e32)
-    floored = np.where(x < 0.5, 0.0, 1.0)
-    for diag in (decaying, floored):
-        A = _dense_operator(grid, np.maximum(diag, DIAG_FLOOR))
-        for _ in range(3):
-            G = rng.standard_normal(grid.shape)
-            ref = np.linalg.solve(A, G.ravel()).reshape(grid.shape)
-            got = _newton_direction(grid, diag, G)
-            rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
-            assert rel < 1e-8
-    zero = np.zeros(grid.shape)
-    assert np.all(_newton_direction(grid, decaying, zero) == 0.0)
+    for n in (16, 32):
+        grid = TorusGrid(n)
+        x, _ = grid.coords()
+        decaying = np.logspace(-8.0, 0.0, n * n).reshape(grid.shape)
+        # zero on half the torus, as where the coupling vanishes: the floor
+        # lifts those cells to DIAG_FLOOR; an all-floor diagonal would leave
+        # the dense reference numerically singular (condition number ~1e32)
+        floored = np.where(x < 0.5, 0.0, 1.0)
+        for diag in (decaying, floored):
+            A = _dense_operator(grid, np.maximum(diag, DIAG_FLOOR))
+            for _ in range(3):
+                G = rng.standard_normal(grid.shape)
+                ref = np.linalg.solve(A, G.ravel()).reshape(grid.shape)
+                got = _newton_direction(grid, diag, G)
+                rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+                assert rel < 1e-8, (n, rel)
+        zero = np.zeros(grid.shape)
+        assert np.all(_newton_direction(grid, decaying, zero) == 0.0)
+
+
+def test_spectral_layer_runs_on_the_real_fft(monkeypatch):
+    # with the complex 2-D transforms made to fail, a feasible solve and a
+    # Newton direction still go through: the real FFT carries them
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex 2-D FFT called")
+
+    monkeypatch.setattr(np.fft, "fft2", refuse)
+    monkeypatch.setattr(np.fft, "ifft2", refuse)
+    p = build_problem(64, 1, 0, 2.0, CosineProfile(3.14159, 1.5))
+    s = solve(p)
+    assert s.feasible and s.iterations > 0
+    grid = p.grid
+    G = np.random.default_rng(3).standard_normal(grid.shape)
+    delta = _newton_direction(grid, np.full(grid.shape, 2.0), G)
+    assert delta is not None and np.isfinite(delta).all()
 
 
 def test_import_and_solve_do_not_load_scipy():
