@@ -353,7 +353,6 @@ def vortex_solve(
     prob = build_problem(n, d1, d2, sigma, _parse_profile(profile_text))
     sol = solve(prob, tol=tol, max_iter=max_iter)
     payload = summary_json(prob, sol)
-    payload["status"] = sol.status.value
     if dump_path is not None:
         write_fields_csv(dump_path, prob, sol)
     _emit(payload, fmt)

@@ -31,8 +31,8 @@ iteration is run.  Above the threshold the reduced equation is the
 Euler-Lagrange equation of a strictly convex, coercive energy
 (Kazdan-Warner), so the discrete system has exactly one solution; Newton
 descends that energy from the constant that balances the integral budget.
-It ends feasible, or indeterminate when it stops short of the tolerance,
-which is never conflated with infeasible.
+It ends feasible, or indeterminate with a certificate of why it stopped;
+only the two proofs, zero coupling and the integral obstruction, say infeasible.
 """
 
 from __future__ import annotations
@@ -52,14 +52,6 @@ TWO_PI = 2.0 * np.pi
 
 # trace condition |tau + tau' - (d1+d2)| below this is treated as exact
 TRACE_TOL = 1e-12
-
-# Newton's divergence witness at a >= 0 gives up once sup|v| passes this;
-# from v = 0 the iterates drift toward v = -infinity there
-BLOWUP_SUP = 50.0
-
-# floor for the Jacobian diagonal: during infeasible drifts e^{2v}
-# underflows and would leave the linear solve singular on constants
-DIAG_FLOOR = 1e-30
 
 
 class SweepWarning(RuntimeWarning):
@@ -178,8 +170,8 @@ class VortexProblem:
     Backgrounds carry the constant curvatures c1 = 2*pi*d1, c2 = 2*pi*d2;
     phi_sq is the sampled coupling density (pointwise |phi|^2 of a section
     in the background metrics, a nonnegative field).  A problem is built
-    only from finite data that meets the trace condition, with degrees
-    that fit a float.
+    only from data that meets the trace condition and whose 2*pi-multiples
+    (degrees, tau, tau_prime, sigma, gaps) are finite, so verdicts can print.
     """
 
     grid: TorusGrid
@@ -195,11 +187,15 @@ class VortexProblem:
             raise ValueError(
                 f"phi_sq shape {self.phi_sq.shape} does not match grid {self.grid.shape}"
             )
-        if not all(math.isfinite(x) for x in (self.tau, self.tau_prime, self.sigma)):
-            raise ValueError(
-                f"tau, tau_prime and sigma must be finite, got tau={self.tau}, "
-                f"tau_prime={self.tau_prime}"
-            )
+        for name, value in (
+            ("2*pi*d1", TWO_PI * self.d1), ("2*pi*d2", TWO_PI * self.d2),
+            ("2*pi*(d1 - d2)", TWO_PI * (self.d1 - self.d2)),
+            ("2*pi*sigma", TWO_PI * self.sigma), ("2*pi*tau", TWO_PI * self.tau),
+            ("2*pi*tau_prime", TWO_PI * self.tau_prime),
+            ("2*pi*(d1 - d2 - sigma)", _forcing(self)),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not np.isfinite(self.phi_sq).all():
             raise ValueError("phi_sq must be finite everywhere")
         if np.min(self.phi_sq) < 0:
@@ -287,11 +283,11 @@ class SolveStatus(str, Enum):
 class VortexSolution:
     """Solver output.
 
-    feasible mirrors status == FEASIBLE; certificate names the proof when
-    infeasible (zero coupling or the integral obstruction; _newton run
-    alone below the threshold names its divergence evidence instead).  It
-    is never set for indeterminate, which means Newton ended above the
-    threshold, where a solution exists, without meeting the gate.
+    feasible mirrors status == FEASIBLE.  Infeasible comes only from a
+    proof, zero coupling or the integral obstruction, which certificate
+    names.  Indeterminate means Newton stopped short of the gate (above
+    the threshold, unless _newton runs alone as a witness below it), and
+    certificate says why it stopped and how far E fell.
     """
 
     u1: np.ndarray
@@ -312,11 +308,10 @@ def _newton_direction(
     diag = 4*phi_sq*e^{2v} >= 0 with positive mean, so the operator is
     symmetric positive definite; the preconditioner inverts -lap + mean(diag)
     spectrally, dividing the rfft2 half spectrum by its symbol, which tracks
-    the diagonal as it decays and keeps the conditioning bounded during
-    infeasible drifts.  The loop runs on the n-by-n fields, from delta = 0,
-    until |r| < 1e-10 |G| or 400 iterations.
+    the diagonal as it decays (once diag underflows to zero, the direction
+    is None).  The loop runs on the n-by-n fields, from delta = 0, until
+    |r| < 1e-10 |G| or 400 iterations.
     """
-    diag = np.maximum(diag, DIAG_FLOOR)
     dbar = float(diag.mean())
     symbol = dbar - _half_multiplier(grid.n)
     x = np.zeros_like(G)
@@ -378,10 +373,12 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
     a = 2*pi*(d1 - d2 - sigma); the pair residuals are exactly -G/2 and
     +G/2.  The linear case phi_sq = 0 and the integral obstruction a >= 0
     are decided without iterating; every other problem goes to damped
-    Newton.
+    Newton, which tests its start against the gate even when max_iter = 0.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     proof = _obstruction(p, _forcing(p))
     return proof if proof is not None else _newton(p, tol, max_iter)
 
@@ -432,17 +429,17 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     strictly convex and coercive, so this converges from any start
     (Boyd-Vandenberghe 2004, 9.5).  It starts at c0 = ln(-a/(2*mean(phi_sq)))/2,
     the constant that balances the integral budget and the exact solution
-    for a constant phi_sq; a run that misses the gate is indeterminate.
-    For a >= 0, E is unbounded below along the constants: the run from
-    v = 0 is a divergence witness independent of the integral obstruction
-    and ends on a norm blow-up or CG breakdown certificate.
+    for a constant phi_sq.  For a >= 0 it starts at v = 0; E is then
+    unbounded below (a > 0) or tends to its unattained infimum 0 (a = 0),
+    and the run is a witness independent of the integral obstruction.
 
     The convergence target is sup|G| < 2*tol.  Convergence also requires
     the last applied step to be tiny: near the solvability boundary the
     residual can dip below tolerance while the iterates still drift at
     unit speed toward v = -infinity, and the step gate keeps that from
-    being declared a solution (the drift then runs into the blow-up
-    certificate instead).
+    being declared a solution.  Any other stop is indeterminate, with a
+    certificate naming the reason and reporting the fall in E, mean(v) at
+    the start and at the end, and the step count.
     """
     grid = p.grid
     phi = p.phi_sq
@@ -460,28 +457,22 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     v = np.full(grid.shape, c0)
     coupling, G = state(v)
     last_step: Optional[float] = None
-    iterations = 0
+    fall = 0.0
+    reason = "budget spent"
 
-    for _ in range(max_iter):
+    # the gate is tested at each of the max_iter + 1 iterates, the start too
+    for iterations in range(max_iter + 1):
         gsup = float(np.abs(G).max())
         vsup = float(np.abs(v).max())
-
         if gsup < 2.0 * tol and (last_step is None or last_step <= 1e-6 * (1.0 + vsup)):
             return _package(p, v, iterations, SolveStatus.FEASIBLE, None)
-        if a >= 0 and vsup > BLOWUP_SUP:
-            return _package(
-                p, v, iterations, SolveStatus.INFEASIBLE,
-                f"norm blow-up: sup|v| = {vsup:.2f} exceeded {BLOWUP_SUP:g}",
-            )
+        if iterations == max_iter:
+            break
 
         delta = _newton_direction(grid, 4.0 * coupling, G)
         if delta is None:
-            if a < 0:
-                break
-            return _package(
-                p, v, iterations, SolveStatus.INFEASIBLE,
-                "CG breakdown: linear solve produced a non-finite direction",
-            )
+            reason = "CG non-finite direction"
+            break
 
         # E(v + alpha*delta) - E(v), expanded around v so that no two
         # nearly equal energies are subtracted; a step that overflows
@@ -498,13 +489,16 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
                     break
                 alpha *= 0.5
             else:
+                reason = "no Armijo decrease"
                 break
         v = v + alpha * delta
         coupling, G = state(v)
         last_step = alpha * float(np.abs(delta).max())
-        iterations += 1
+        fall -= change
 
-    return _package(p, v, iterations, SolveStatus.INDETERMINATE, None)
+    certificate = (f"{reason}: E fell by {fall:.6g}, mean(v) went from {c0:.6g} "
+                   f"to {float(v.mean()):.6g} in {iterations} steps")
+    return _package(p, v, iterations, SolveStatus.INDETERMINATE, certificate)
 
 
 def integral_identity_check(p: VortexProblem, s: VortexSolution) -> float:
@@ -642,4 +636,5 @@ def summary_json(p: VortexProblem, s: VortexSolution) -> dict:
         "feasible": s.feasible,
         "residual_sup": s.residual_sup,
         "iterations": s.iterations,
+        "status": s.status.value,
     }

@@ -182,6 +182,18 @@ def test_vortex_solve_infeasible_exit_and_certificate(runner):
         assert res.stderr.startswith("certificate: integral obstruction:"), args
 
 
+def test_vortex_solve_indeterminate_prints_why_it_stopped(runner):
+    res = runner.invoke(main, ["vortex-solve", "--n", "32", "--d1", "0", "--d2", "0",
+                               "--sigma", "2", "--profile", "cosine:3.14159:1.5",
+                               "--max-iter", "1"])
+    assert res.exit_code == 1
+    payload = json.loads(res.stdout)
+    assert payload["status"] == "indeterminate" and payload["iterations"] == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("certificate: budget spent: E fell by ")
+    assert lines[0].endswith(" in 1 steps")
+
+
 def test_vortex_solve_dump_fields(runner, tmp_path):
     out = tmp_path / "fields.csv"
     res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0",
@@ -216,17 +228,30 @@ def test_vortex_solve_rejects_bad_grid_and_profile(runner):
         ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "0"],
         ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "nan"],
         ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "inf"],
+        ["--sigma", "2", "--profile", "constant:3.141592653589793", "--max-iter", "-7"],
     ):
         res = runner.invoke(main, base + args)
         assert res.exit_code == 2, args
         assert res.stdout == "", args
-    # degrees too large for a float are input errors, not an OverflowError
+    # degrees too large for a float are input errors, not an OverflowError;
+    # so are curvatures 2*pi*d and 2*pi*sigma that overflow, which once
+    # printed a numpy warning and then a non-JSON error
     big = str(10**400)
-    for d1, d2 in ((big, "0"), ("0", "-" + big), (str(10**308), str(-(10**308)))):
-        res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", d1, "--d2", d2,
-                                   "--sigma", "1", "--profile", "constant:1"])
-        assert res.exit_code == 2, (d1, d2)
-        assert res.stdout == "" and res.stderr.startswith("error: "), (d1, d2)
+    for d1, d2, sigma in (
+        (big, "0", "1"),
+        ("0", "-" + big, "1"),
+        (str(10**308), str(-(10**308)), "1"),
+        (str(10**308), "0", "1"),
+        ("0", "0", "1e308"),
+        ("0", "0", "-1e308"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", d1, "--d2", d2,
+                                       "--sigma", sigma, "--profile", "constant:1"])
+        assert res.exit_code == 2, (d1, d2, sigma)
+        assert res.stdout == "" and res.stderr.startswith("error: "), (d1, d2, sigma)
+        assert "Warning" not in res.stderr and not caught, (d1, d2, sigma, caught)
 
 
 def test_vortex_sweep_json(runner):
@@ -272,11 +297,27 @@ def test_vortex_sweep_rejects_unsorted_and_garbage(runner):
         assert res.exit_code == 2, sigmas
         assert res.stdout == "", sigmas
     big = str(10**400)
-    for d1, d2 in ((big, "0"), ("0", "-" + big), (str(10**308), str(-(10**308)))):
-        res = runner.invoke(main, ["vortex-sweep", "--n", "16", "--d1", d1, "--d2", d2,
-                                   "--sigmas", "0.5,1", "--profile", "constant:1"])
-        assert res.exit_code == 2, (d1, d2)
-        assert res.stdout == "" and res.stderr.startswith("error: "), (d1, d2)
+    for d1, d2, sigmas in (
+        (big, "0", "0.5,1"),
+        ("0", "-" + big, "0.5,1"),
+        (str(10**308), str(-(10**308)), "0.5,1"),
+        (str(10**308), "0", "0.5,1"),
+        ("0", "0", "1e308"),
+        ("0", "0", "-1e308,1"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["vortex-sweep", "--n", "16", "--d1", d1, "--d2", d2,
+                                       "--sigmas", sigmas, "--profile", "constant:1"])
+        assert res.exit_code == 2, (d1, d2, sigmas)
+        assert res.stdout == "" and res.stderr.startswith("error: "), (d1, d2, sigmas)
+        assert "Warning" not in res.stderr and not caught, (d1, d2, sigmas, caught)
+    # a negative budget is an input error, not a column of indeterminate rows
+    res = runner.invoke(main, ["vortex-sweep", "--n", "16", "--d1", "0", "--d2", "0",
+                               "--sigmas", "0.5,1", "--profile", "constant:1",
+                               "--max-iter", "-1"])
+    assert res.exit_code == 2
+    assert res.stdout == "" and res.stderr.startswith("error: max_iter must be >= 0")
 
 
 def test_exact_commands_do_not_import_numpy():

@@ -29,7 +29,7 @@ from triplekit import (
     sweep_sigma,
     write_fields_csv,
 )
-from triplekit.vortex import DIAG_FLOOR, TWO_PI, _newton, _newton_direction
+from triplekit.vortex import TWO_PI, _newton, _newton_direction
 
 from conftest import smooth_field
 
@@ -238,6 +238,28 @@ def test_problem_rejects_broken_trace_and_non_finite_data():
             build_problem(16, d1, d2, 1.0, ConstantProfile(1.0))
         with pytest.raises(ValueError, match=re.escape(f"{name} does not fit a float")):
             VortexProblem(grid=grid, d1=d1, d2=d2, tau=0.0, tau_prime=0.0, phi_sq=ones)
+    # constants that fit a float only before the factor 2*pi; unchecked, each
+    # reaches a verdict whose residual is inf or NaN and cannot be printed
+    big = 10**308
+    for d1, d2, sigma, name in (
+        (big, 0, 1.0, "2*pi*d1"),
+        (0, -big, 1.0, "2*pi*d2"),
+        (2 * 10**307, -2 * 10**307, 1.0, "2*pi*(d1 - d2)"),
+        (0, 0, 1e308, "2*pi*sigma"),
+        (0, 0, -1e308, "2*pi*sigma"),
+        (-25 * 10**306, 0, 2.5e307, "2*pi*(d1 - d2 - sigma)"),
+        (25 * 10**306, 0, -2.5e307, "2*pi*(d1 - d2 - sigma)"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+                build_problem(16, d1, d2, sigma, ConstantProfile(1.0))
+    for tau, tau_prime, name in (
+        (3e307, 2.5e307, "2*pi*tau"),
+        (2.5e307, 3e307, "2*pi*tau_prime"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+            VortexProblem(grid=grid, d1=0, d2=0, tau=tau, tau_prime=tau_prime, phi_sq=ones)
 
 
 def test_solve_constant_sigma_one_is_exact():
@@ -259,6 +281,10 @@ def test_solve_constant_sigma_two_closed_form():
     v = s.u1 - s.u2
     assert np.abs(v - 0.5 * np.log(2.0)).max() < 1e-12
     assert s.residual_sup < 1e-12
+    # a zero budget still tests that start against the gate
+    s = solve(build_problem(16, 0, 0, 2.0, ConstantProfile(float(np.pi))), max_iter=0)
+    assert s.status is SolveStatus.FEASIBLE and s.iterations == 0
+    assert s.certificate is None and s.residual_sup < 1e-15
 
 
 def _obstructed(s):
@@ -276,19 +302,51 @@ def test_solve_negative_sigma_diverges_with_certificate():
     assert "2*pi*(d1 - d2 - sigma) = 3.14159 >= 0" in s.certificate
     # the obstruction is reported at v = 0: G = -a - 2*pi everywhere
     assert s.residual_sup == pytest.approx(0.5 * (0.5 * TWO_PI + TWO_PI), rel=1e-12)
-    w = _newton(p, 1e-10, 200)
-    assert w.status is SolveStatus.INFEASIBLE and not w.feasible
-    assert w.certificate is not None and "blow-up" in w.certificate
+    # Newton alone at a > 0: E is unbounded below along the constants
+    assert _witness_energy(p) < -1e20
 
 
 def test_solve_threshold_boundary_is_infeasible():
     # sigma = d1 - d2 exactly: the integral budget closes only as
-    # v -> -infinity, so Newton must diverge, not "converge"
+    # v -> -infinity, so Newton must drift, not "converge"; E tends to its
+    # infimum 0, which no field attains
     p = build_problem(64, 1, 0, 1.0, CosineProfile(3.14159, 1.5))
     assert _obstructed(solve(p))
+    assert 0.0 <= _witness_energy(p) < 1e-12
+
+
+_WITNESS_CERTIFICATE = re.compile(
+    r"(budget spent|no Armijo decrease|CG non-finite direction): E fell by (\S+), "
+    r"mean\(v\) went from (\S+) to (\S+) in (\d+) steps"
+)
+
+
+def _energy(p, v):
+    """E(v) = mean(v*(-lap v))/2 + a*mean(v) + mean(phi_sq*e^{2v}), with lap
+    taken by numpy.fft on the full spectrum, not by the grid's operator."""
+    k = np.fft.fftfreq(p.grid.n, 1.0 / p.grid.n)
+    mult = -4.0 * np.pi**2 * (k[:, None] ** 2 + k[None, :] ** 2)
+    w = v - v.mean()
+    lap = np.fft.ifft2(mult * np.fft.fft2(w)).real
+    a = TWO_PI * (p.d1 - p.d2 - p.sigma)
+    return 0.5 * np.mean(w * -lap) + a * np.mean(v) + np.mean(p.phi_sq * np.exp(2.0 * v))
+
+
+def _witness_energy(p):
+    """Run Newton alone from v = 0 below the threshold, check that it ends
+    indeterminate with a certificate that reports its own run, and return
+    E at the field it returns."""
     w = _newton(p, 1e-10, 200)
-    assert w.status is SolveStatus.INFEASIBLE
-    assert w.certificate is not None
+    assert w.status is SolveStatus.INDETERMINATE and not w.feasible
+    m = _WITNESS_CERTIFICATE.fullmatch(w.certificate or "")
+    assert m is not None, w.certificate
+    fall, start, end, steps = (float(g) for g in m.groups()[1:])
+    v = w.u1 - w.u2
+    energy = _energy(p, v)
+    assert steps == w.iterations and start == 0.0
+    assert end == pytest.approx(v.mean(), rel=1e-5)
+    assert fall == pytest.approx(_energy(p, np.zeros(p.grid.shape)) - energy, rel=1e-5)
+    return energy
 
 
 def test_obstruction_fires_exactly_at_and_below_threshold():
@@ -436,6 +494,9 @@ def test_sweep_rejects_unsorted():
         sweep_sigma(32, 0, 0, ConstantProfile(1.0), [1.0, 0.5])
     with pytest.raises(ValueError, match="sigmas must be finite"):
         sweep_sigma(16, 0, 0, ConstantProfile(1.0), [1.0, float("nan"), 2.0])
+    # a negative budget is an input error, even where no Newton step would run
+    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        sweep_sigma(16, 0, 0, ConstantProfile(1.0), [0.5, 1.0], max_iter=-1)
 
 
 def test_sweep_warns_on_indeterminate():
@@ -478,6 +539,8 @@ def test_solve_diagonal_propagates_programming_errors():
     problems = [build_problem(16, 0, 0, 1.5, ConstantProfile(1.0))] * 2
     with pytest.raises(ValueError, match="tol"):
         solve_diagonal(problems, tol=-1)
+    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        solve_diagonal(problems, max_iter=-1)
     with pytest.raises(TypeError):
         solve_diagonal(problems, tol="1e-10")
 
@@ -516,8 +579,10 @@ def test_summary_json_key_set():
     d = summary_json(p, s)
     assert set(d) == {
         "sigma", "tau", "tau_prime", "d1", "d2", "feasible",
-        "residual_sup", "iterations",
+        "residual_sup", "iterations", "status",
     }
+    # status is the last key, where the CLI once appended it
+    assert list(d)[-1] == "status" and d["status"] == "feasible"
     assert d["sigma"] == 2.0 and d["d1"] == 1 and d["feasible"] is True
 
 
@@ -540,12 +605,11 @@ def test_newton_direction_matches_dense_solve():
         grid = TorusGrid(n)
         x, _ = grid.coords()
         decaying = np.logspace(-8.0, 0.0, n * n).reshape(grid.shape)
-        # zero on half the torus, as where the coupling vanishes: the floor
-        # lifts those cells to DIAG_FLOOR; an all-floor diagonal would leave
-        # the dense reference numerically singular (condition number ~1e32)
-        floored = np.where(x < 0.5, 0.0, 1.0)
-        for diag in (decaying, floored):
-            A = _dense_operator(grid, np.maximum(diag, DIAG_FLOOR))
+        # zero on half the torus, as where the coupling vanishes; a positive
+        # mean keeps the operator definite on the constants
+        vanishing = np.where(x < 0.5, 0.0, 1.0)
+        for diag in (decaying, vanishing):
+            A = _dense_operator(grid, diag)
             for _ in range(3):
                 G = rng.standard_normal(grid.shape)
                 ref = np.linalg.solve(A, G.ravel()).reshape(grid.shape)
