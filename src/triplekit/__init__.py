@@ -92,7 +92,6 @@ __all__ = [
     "dual_parameter",
     "ConstantProfile",
     "CosineProfile",
-    "DiagonalReport",
     "PhiProfile",
     "ResidualReport",
     "SolveStatus",
@@ -106,7 +105,6 @@ __all__ = [
     "integral_identity_check",
     "residual",
     "solve",
-    "solve_diagonal",
     "summary_json",
     "sweep_sigma",
     "write_fields_csv",

@@ -7,12 +7,13 @@ vortex commands take ordinary floats and import the numeric module (and
 numpy) only when they run.
 
 Exit codes: 0 success; 1 for a negative but valid verdict (non-generic
-parameter, infeasible or indeterminate solve, sweep with warnings);
+parameter, infeasible or indeterminate solve, sweep with indeterminate rows);
 2 for input errors, each with a message naming the violated precondition.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import random
@@ -378,7 +379,7 @@ def vortex_sweep(
     n: int, d1: int, d2: int, sigmas_text: str, profile_text: str,
     tol: float, max_iter: int, fmt: str,
 ) -> None:
-    """Feasibility sweep over sigma values (exit 1 on sweep warnings)."""
+    """Feasibility sweep over sigma values (exit 1 on indeterminate rows)."""
     from .vortex import SweepWarning, sweep_sigma
 
     try:
@@ -389,25 +390,14 @@ def vortex_sweep(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rows = sweep_sigma(n, d1, d2, profile, sigmas, tol=tol, max_iter=max_iter)
-    records = [
-        {
-            "sigma": r.sigma,
-            "feasible": r.feasible,
-            "residual_sup": r.residual_sup,
-            "iterations": r.iterations,
-            "status": r.status.value,
-        }
-        for r in rows
-    ]
+    records = [dict(dataclasses.asdict(r), status=r.status.value) for r in rows]
     if fmt == "json":
         click.echo(json.dumps(records, separators=(",", ":"), allow_nan=False))
     else:
-        click.echo("sigma,feasible,residual_sup,iterations,status")
+        click.echo(",".join(records[0]))
         for rec in records:
-            click.echo(
-                f"{rec['sigma']:.17g},{rec['feasible']},{rec['residual_sup']:.17g},"
-                f"{rec['iterations']},{rec['status']}"
-            )
+            cells = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in rec.values())
+            click.echo(",".join(cells))
     sweep_issues = [w for w in caught if issubclass(w.category, SweepWarning)]
     if sweep_issues:
         for w in sweep_issues:

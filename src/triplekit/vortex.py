@@ -55,7 +55,7 @@ TRACE_TOL = 1e-12
 
 
 class SweepWarning(RuntimeWarning):
-    """A sigma sweep whose feasibility pattern could not be certified."""
+    """A sigma sweep with indeterminate rows."""
 
 
 @lru_cache(maxsize=16)
@@ -240,6 +240,7 @@ def build_problem(
     """
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
+    sigma = float(sigma)
     _check_degrees(d1, d2)
     grid = TorusGrid(n)
     tau = 0.5 * (d1 + d2 + sigma)
@@ -453,6 +454,11 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     if a < 0:
         # summed exactly, so a constant phi_sq balances to its exact solution
         mean_phi = math.fsum((phi / phi.size).ravel())
+        # the start's e^{2*c0}; past the float range exp(2v) overflows
+        if not (mean_phi > 0 and math.isfinite(-0.5 * a / mean_phi)):
+            raise ValueError(
+                "e^(2*c0) = -2*pi*(d1 - d2 - sigma)/(2*mean(phi_sq)) overflows a float"
+            )
         c0 = 0.5 * (math.log(-0.5 * a) - math.log(mean_phi))
     v = np.full(grid.shape, c0)
     coupling, G = state(v)
@@ -535,11 +541,14 @@ def sweep_sigma(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> List[SweepRow]:
-    """One solve per sigma, ascending; checks the feasibility switch.
+    """One solve per sigma, ascending.
 
-    The feasibility column must flip monotonically from false to true at
-    sigma = d1 - d2.  Indeterminate solves and monotonicity violations are
-    reported as warnings, never exceptions: the table itself is the result.
+    With a nonzero coupling the feasibility column is monotone by
+    construction: a = 2*pi*(d1 - d2) - 2*pi*sigma does not increase with
+    sigma, the integral obstruction says infeasible exactly when a >= 0,
+    and Newton says only feasible or indeterminate.  With a zero coupling
+    only sigma = d1 - d2 is feasible.  Indeterminate solves are reported
+    as a warning, never an exception: the table itself is the result.
     """
     sig = [float(s) for s in sigmas]
     if not all(math.isfinite(s) for s in sig):
@@ -565,53 +574,7 @@ def sweep_sigma(
             SweepWarning,
             stacklevel=2,
         )
-    else:
-        flags = [r.feasible for r in rows]
-        if flags != sorted(flags):
-            warnings.warn(
-                "feasibility is not monotone in sigma; expected a single "
-                "false-to-true switch",
-                SweepWarning,
-                stacklevel=2,
-            )
     return rows
-
-
-@dataclass(frozen=True, eq=False)
-class DiagonalReport:
-    """Componentwise solves of a diagonal (direct-sum) system.
-
-    Behaves as a list of the component solutions; aggregate feasibility
-    requires every component feasible.
-    """
-
-    solutions: List[VortexSolution]
-
-    @property
-    def failed_indices(self) -> List[int]:
-        return [i for i, s in enumerate(self.solutions) if not s.feasible]
-
-    @property
-    def feasible(self) -> bool:
-        return not self.failed_indices
-
-    def __iter__(self):
-        return iter(self.solutions)
-
-    def __len__(self) -> int:
-        return len(self.solutions)
-
-    def __getitem__(self, i):
-        return self.solutions[i]
-
-
-def solve_diagonal(
-    problems: Sequence[VortexProblem],
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> DiagonalReport:
-    """Independent solves of the components of a diagonal system."""
-    return DiagonalReport([solve(p, tol=tol, max_iter=max_iter) for p in problems])
 
 
 def write_fields_csv(path: str, p: VortexProblem, s: VortexSolution) -> None:

@@ -252,6 +252,15 @@ def test_vortex_solve_rejects_bad_grid_and_profile(runner):
         assert res.exit_code == 2, (d1, d2, sigma)
         assert res.stdout == "" and res.stderr.startswith("error: "), (d1, d2, sigma)
         assert "Warning" not in res.stderr and not caught, (d1, d2, sigma, caught)
+    # a subnormal coupling level puts Newton's start e^{2*c0} past the float
+    # range: an input error, not an overflow warning and a non-JSON verdict
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0",
+                                   "--sigma", "2", "--profile", "constant:1e-308"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: e^(2*c0)") and len(res.stderr.splitlines()) == 1
+    assert not caught, caught
 
 
 def test_vortex_sweep_json(runner):
@@ -282,6 +291,17 @@ def test_vortex_sweep_warning_exits_one(runner):
     assert res.exit_code == 1
     assert json.loads(res.stdout)[0]["status"] == "indeterminate"
     assert "warning:" in res.stderr
+
+
+def test_vortex_sweep_zero_coupling_exits_zero(runner):
+    # lap(v) = a is solvable only at a = 0: that column is the exact
+    # answer, not a sweep warning
+    res = runner.invoke(main, ["vortex-sweep", "--n", "16", "--d1", "0", "--d2", "0",
+                               "--sigmas", "-1,0,1", "--profile", "zero"])
+    assert res.exit_code == 0
+    rows = json.loads(res.stdout)
+    assert [r["status"] for r in rows] == ["infeasible", "feasible", "infeasible"]
+    assert res.stderr == ""
 
 
 def test_vortex_sweep_rejects_unsorted_and_garbage(runner):

@@ -24,7 +24,6 @@ from triplekit import (
     integral_identity_check,
     residual,
     solve,
-    solve_diagonal,
     summary_json,
     sweep_sigma,
     write_fields_csv,
@@ -247,6 +246,7 @@ def test_problem_rejects_broken_trace_and_non_finite_data():
         (2 * 10**307, -2 * 10**307, 1.0, "2*pi*(d1 - d2)"),
         (0, 0, 1e308, "2*pi*sigma"),
         (0, 0, -1e308, "2*pi*sigma"),
+        (0, 0, np.float64(1e308), "2*pi*sigma"),
         (-25 * 10**306, 0, 2.5e307, "2*pi*(d1 - d2 - sigma)"),
         (25 * 10**306, 0, -2.5e307, "2*pi*(d1 - d2 - sigma)"),
     ):
@@ -404,7 +404,8 @@ def test_solve_zero_profile_branches():
 
 def test_solve_band_vanishing_profile():
     # coupling vanishing on a region still admits solutions above the
-    # threshold; the Jacobian floor keeps the inner solves nonsingular
+    # threshold; diag = 4*phi_sq*e^{2v} has a positive mean, so the inner
+    # operator -lap + diag is symmetric positive definite
     p = build_problem(64, 1, 0, 2.0, BandProfile())
     s = solve(p)
     assert s.feasible
@@ -506,43 +507,38 @@ def test_sweep_warns_on_indeterminate():
     assert not rows[0].feasible
 
 
-def test_solve_diagonal_all_feasible():
-    rep = solve_diagonal(
-        [
-            build_problem(32, 0, 0, 1.5, ConstantProfile(1.0)),
-            build_problem(32, 1, 0, 1.5, ConstantProfile(2.0)),
-        ]
-    )
-    assert rep.feasible
-    assert len(rep) == 2 and rep.failed_indices == []
-    assert all(s.feasible for s in rep)
+def test_sweep_with_zero_coupling_is_feasible_only_at_the_threshold():
+    # lap(v) = a is solvable only at a = 0, so the exact column is
+    # infeasible, feasible, infeasible, with nothing to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SweepWarning)
+        rows = sweep_sigma(16, 0, 0, ZeroProfile(), [-1.0, 0.0, 1.0])
+    assert [r.status for r in rows] == [
+        SolveStatus.INFEASIBLE, SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE
+    ]
 
 
-def test_solve_diagonal_collects_failures():
-    rep = solve_diagonal(
-        [
-            build_problem(32, 0, 0, 1.5, ConstantProfile(1.0)),
-            build_problem(32, 1, 0, 0.5, ConstantProfile(1.0)),
-            build_problem(32, 1, 0, 1.5, ConstantProfile(1.0)),
-        ]
-    )
-    assert not rep.feasible
-    assert rep.failed_indices == [1]
-    assert rep[0].feasible and not rep[1].feasible and rep[2].feasible
-    assert rep[1].status is SolveStatus.INFEASIBLE
-
-
-def test_solve_diagonal_propagates_programming_errors():
-    # a problem that breaks the trace condition cannot be built, so every
-    # error left is about the call itself and is raised, not filed per
-    # component; a bad shared tol raises once
-    problems = [build_problem(16, 0, 0, 1.5, ConstantProfile(1.0))] * 2
+def test_solve_rejects_bad_tol_and_budget():
+    p = build_problem(16, 0, 0, 1.5, ConstantProfile(1.0))
     with pytest.raises(ValueError, match="tol"):
-        solve_diagonal(problems, tol=-1)
+        solve(p, tol=-1)
     with pytest.raises(ValueError, match="max_iter must be >= 0"):
-        solve_diagonal(problems, max_iter=-1)
+        solve(p, max_iter=-1)
     with pytest.raises(TypeError):
-        solve_diagonal(problems, tol="1e-10")
+        solve(p, tol="1e-10")
+
+
+def test_solve_rejects_a_start_past_the_float_range():
+    # Newton starts at e^{2*c0} = -a/(2*mean(phi_sq)); unchecked, a subnormal
+    # level overflows exp and the verdict cannot be printed
+    for level in (1e-308, 5e-324):
+        p = build_problem(16, 0, 0, 2.0, ConstantProfile(level))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("e^(2*c0)")):
+                solve(p)
+    s = solve(build_problem(16, 0, 0, 2.0, ConstantProfile(1e-300)))
+    assert s.status is SolveStatus.FEASIBLE and s.iterations == 0
 
 
 def test_write_fields_csv(tmp_path):
