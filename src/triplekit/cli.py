@@ -13,8 +13,8 @@ parameter, infeasible or indeterminate solve, sweep with indeterminate rows);
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
-import functools
 import json
 import random
 import re
@@ -22,8 +22,6 @@ import sys
 import warnings
 from fractions import Fraction
 from typing import List, Optional
-
-import click
 
 from .chambers import (
     enumerate_walls,
@@ -46,15 +44,10 @@ from .stability import mu_sigma, sigma_from_tau, tau_prime, theta_tau
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
-
-
 def _parse_rational(text: str, label: str) -> Fraction:
     t = text.strip()
     if not _RATIONAL_RE.match(t):
-        _fail(
+        raise ValueError(
             f"{label} must be an exact rational 'p/q' (or integer), got {text!r}; "
             "decimal input is rejected for exact-arithmetic commands"
         )
@@ -64,11 +57,11 @@ def _parse_rational(text: str, label: str) -> Fraction:
 def _parse_ints(text: str, label: str, count: int) -> List[int]:
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != count:
-        _fail(f"{label} must be {count} comma-separated integers, got {text!r}")
+        raise ValueError(f"{label} must be {count} comma-separated integers, got {text!r}")
     try:
         return [int(s) for s in parts]
     except ValueError:
-        _fail(f"{label} must contain integers only, got {text!r}")
+        raise ValueError(f"{label} must contain integers only, got {text!r}")
 
 
 def _parse_triple(text: str) -> TripleInvariants:
@@ -92,114 +85,151 @@ def _parse_profile(text: str):
         if kind == "cosine" and len(parts) == 3:
             return CosineProfile(float(parts[1]), float(parts[2]))
     except ValueError as exc:
-        _fail(f"--profile {text!r}: {exc}")
-    _fail(
+        raise ValueError(f"--profile {text!r}: {exc}")
+    raise ValueError(
         f"--profile must be 'constant:LEVEL', 'cosine:LEVEL:AMPLITUDE' or 'zero', "
         f"got {text!r}"
     )
 
 
-def _rat(x: Fraction) -> str:
-    return str(x)
-
-
 def _interval_json(iv) -> list:
-    return [_rat(iv.lower), None if iv.upper is None else _rat(iv.upper)]
+    return [str(iv.lower), None if iv.upper is None else str(iv.upper)]
+
+
+def _csv_lines(payload: dict, prefix: str = ""):
+    # key,value lines; lists joined with ';', nested keys joined with '.'
+    for key, val in payload.items():
+        if isinstance(val, dict):
+            yield from _csv_lines(val, f"{prefix}{key}.")
+            continue
+        if isinstance(val, list):
+            val = ";".join("" if x is None else str(x) for x in val)
+        yield f"{prefix}{key},{val}"
 
 
 def _emit(payload, fmt: str) -> None:
+    # the JSON encoding is made in either format: it rejects inf and nan,
+    # so a non-finite number exits 2 and is never printed as a verdict
+    text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
     if fmt == "json":
-        click.echo(json.dumps(payload, separators=(",", ":"), allow_nan=False))
-        return
-    # key,value lines; lists joined with ';'
-    if not isinstance(payload, dict):
-        payload = {"value": payload}
-    for key, val in payload.items():
-        if isinstance(val, list):
-            val = ";".join("" if x is None else str(x) for x in val)
-        click.echo(f"{key},{val}")
+        print(text)
+    elif isinstance(payload, list):
+        # a list of records is a table: a header, then one row per record
+        print(",".join(payload[0]))
+        for rec in payload:
+            print(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in rec.values()))
+    else:
+        for line in _csv_lines(payload):
+            print(line)
 
 
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (InvariantError, ValueError) as exc:
-            _fail(str(exc))
-
-    return wrapper
+# name -> (function, options); each option is (flag, add_argument keywords)
+_COMMANDS = {}
 
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-    help="Output format.",
-)
+def _command(name: str, *options):
+    def register(fn):
+        _COMMANDS[name] = (fn, options)
+        return fn
+
+    return register
 
 
-@click.group()
-def main() -> None:
+_TRIPLE = ("--triple", dict(required=True, help="r1,r2,d1,d2"))
+_TAU = ("--tau", dict(dest="tau_text", required=True, help="rational p/q"))
+_WINDOW = ("--window", dict(type=int, required=True, help="degree window >= 1"))
+_N = ("--n", dict(type=int, default=64, help="(default 64)"))
+_D1 = ("--d1", dict(type=int, required=True))
+_D2 = ("--d2", dict(type=int, required=True))
+_PROFILE = ("--profile", dict(dest="profile_text", required=True,
+                              help="constant:LEVEL | cosine:LEVEL:AMPLITUDE | zero"))
+_TOL = ("--tol", dict(type=float, default=1e-10, help="(default 1e-10)"))
+_MAX_ITER = ("--max-iter", dict(type=int, default=200, help="(default 200)"))
+_FORMAT = ("--format", dict(dest="fmt", choices=["json", "csv"], default="json",
+                            help="Output format."))
+_HELP = ("--help", dict(action="help", help="Show this message and exit."))
+
+
+def main(argv: Optional[List[str]] = None) -> None:
     """Exact stability arithmetic for bundle triples and a vortex solver."""
+    parser = argparse.ArgumentParser(
+        prog="triplekit", description=main.__doc__, add_help=False, allow_abbrev=False
+    )
+    parser.add_argument(_HELP[0], **_HELP[1])
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (fn, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                                  add_help=False, allow_abbrev=False)
+        for flag, kwargs in options + (_FORMAT, _HELP):
+            sub.add_argument(flag, **kwargs)
+    # every option takes one value: pass it as --opt=value, the form in
+    # which argparse also reads values such as -3/2 or -1e-3 as values
+    flags = {flag for _, options in _COMMANDS.values() for flag, _ in options + (_FORMAT,)}
+    joined = []
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in flags else None
+        joined.append(tok if value is None else f"{tok}={value}")
+    args = vars(parser.parse_args(joined))
+    fn = _COMMANDS[args.pop("command")][0]
+    try:
+        fn(**args)
+    except (InvariantError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
-@main.command()
-@click.option("--triple", required=True, help="r1,r2,d1,d2")
-@click.option("--sub", required=True, help="r1',r2',d1',d2'")
-@click.option("--tau", "tau_text", required=True, help="rational p/q")
-@_format_option
-@_guard
+@_command("theta", _TRIPLE, ("--sub", dict(required=True, help="r1',r2',d1',d2'")), _TAU)
 def theta(triple: str, sub: str, tau_text: str, fmt: str) -> None:
     """Destabilization functional of a subobject."""
     T = _parse_triple(triple)
     Tp = _parse_sub(sub)
     tau = _parse_rational(tau_text, "--tau")
-    _emit({"theta": _rat(theta_tau(T, Tp, tau))}, fmt)
+    _emit({"theta": str(theta_tau(T, Tp, tau))}, fmt)
 
 
-@main.command()
-@click.option("--triple", required=True, help="r1,r2,d1,d2")
-@click.option("--tau", "tau_text", default=None, help="rational p/q")
-@click.option("--sigma", "sigma_text", default=None, help="rational p/q")
-@_format_option
-@_guard
+@_command(
+    "convert", _TRIPLE,
+    ("--tau", dict(dest="tau_text", help="rational p/q")),
+    ("--sigma", dict(dest="sigma_text", help="rational p/q")),
+)
 def convert(triple: str, tau_text: Optional[str], sigma_text: Optional[str], fmt: str) -> None:
     """Convert between the tau and sigma parameters."""
     T = _parse_triple(triple)
     if (tau_text is None) == (sigma_text is None):
-        _fail("convert needs exactly one of --tau or --sigma")
+        raise ValueError("convert needs exactly one of --tau or --sigma")
     if tau_text is not None:
         tau = _parse_rational(tau_text, "--tau")
     else:
         tau = mu_sigma(T, _parse_rational(sigma_text, "--sigma"))
     _emit(
         {
-            "tau": _rat(tau),
-            "tau_prime": _rat(tau_prime(T, tau)),
-            "sigma": _rat(sigma_from_tau(T, tau)),
+            "tau": str(tau),
+            "tau_prime": str(tau_prime(T, tau)),
+            "sigma": str(sigma_from_tau(T, tau)),
         },
         fmt,
     )
 
 
-@main.command()
-@click.option("--triple", required=True, help="r1,r2,d1,d2")
-@click.option("--tau", "tau_text", default=None, help="also report slope thresholds at this tau")
-@click.option("--genus", type=int, default=None, help="also report the fibration bound")
-@_format_option
-@_guard
+@_command(
+    "bounds", _TRIPLE,
+    ("--tau", dict(dest="tau_text", help="also report slope thresholds at this tau")),
+    ("--genus", dict(type=int, help="also report the fibration bound")),
+)
 def bounds(triple: str, tau_text: Optional[str], genus: Optional[int], fmt: str) -> None:
     """Admissible parameter intervals and related bounds."""
     T = _parse_triple(triple)
     payload = {
         "tau_interval": _interval_json(parameter_interval(T)),
         "sigma_interval": _interval_json(sigma_interval(T)),
-        "small_tau_window": _rat(small_tau_window(T)),
+        "small_tau_window": str(small_tau_window(T)),
     }
     if tau_text is not None:
         # a stable triple bounds subobject slopes above and quotient
         # slopes below by tau (first bundle) and tau' (second bundle)
         tau = _parse_rational(tau_text, "--tau")
-        t, tp = _rat(tau), _rat(tau_prime(T, tau))
+        t, tp = str(tau), str(tau_prime(T, tau))
         payload["thresholds"] = {
             "sub_E1_bound": t,
             "sub_kernel_bound": tp,
@@ -211,11 +241,7 @@ def bounds(triple: str, tau_text: Optional[str], genus: Optional[int], fmt: str)
     _emit(payload, fmt)
 
 
-@main.command()
-@click.option("--triple", required=True, help="r1,r2,d1,d2")
-@click.option("--window", type=int, required=True, help="degree window >= 1")
-@_format_option
-@_guard
+@_command("walls", _TRIPLE, _WINDOW)
 def walls(triple: str, window: int, fmt: str) -> None:
     """Candidate wall values inside the admissible interval."""
     T = _parse_triple(triple)
@@ -223,48 +249,35 @@ def walls(triple: str, window: int, fmt: str) -> None:
     _emit(
         {
             "interval": _interval_json(dec.interval),
-            "walls": [_rat(w) for w in dec.walls],
+            "walls": [str(w) for w in dec.walls],
         },
         fmt,
     )
 
 
-@main.command()
-@click.option("--triple", required=True, help="r1,r2,d1,d2")
-@click.option("--tau", "tau_text", required=True, help="rational p/q")
-@click.option("--window", type=int, required=True, help="degree window >= 1")
-@_format_option
-@_guard
+@_command("generic", _TRIPLE, _TAU, _WINDOW)
 def generic(triple: str, tau_text: str, window: int, fmt: str) -> None:
     """Whether tau avoids every candidate wall (exit 1 when it does not)."""
     T = _parse_triple(triple)
     tau = _parse_rational(tau_text, "--tau")
     ok = is_generic(T, tau, window)
-    _emit({"tau": _rat(tau), "window": window, "generic": ok}, fmt)
+    _emit({"tau": str(tau), "window": window, "generic": ok}, fmt)
     if not ok:
         sys.exit(1)
 
 
-@main.command()
-@click.option("--triple", required=True, help="r1,r2,d1,d2")
-@click.option("--genus", type=int, required=True)
-@_format_option
-@_guard
+@_command("dimension", _TRIPLE, ("--genus", dict(type=int, required=True)))
 def dimension(triple: str, genus: int, fmt: str) -> None:
     """Expected moduli dimension."""
     T = _parse_triple(triple)
     dim = moduli_dimension(T, genus)
     if fmt == "json":
-        click.echo(json.dumps(dim))
+        print(json.dumps(dim))
     else:
-        click.echo(f"dimension,{dim}")
+        print(f"dimension,{dim}")
 
 
-@main.command()
-@click.option("--triple", required=True, help="r1,r2,d1,d2")
-@click.option("--tau", "tau_text", required=True, help="rational p/q")
-@_format_option
-@_guard
+@_command("dual", _TRIPLE, _TAU)
 def dual(triple: str, tau_text: str, fmt: str) -> None:
     """Dual triple and the parameter value paired with tau."""
     T = _parse_triple(triple)
@@ -273,22 +286,21 @@ def dual(triple: str, tau_text: str, fmt: str) -> None:
     _emit(
         {
             "dual_triple": [Td.r1, Td.r2, Td.d1, Td.d2],
-            "dual_tau": _rat(dual_parameter(T, tau)),
-            "sigma": _rat(sigma_from_tau(T, tau)),
+            "dual_tau": str(dual_parameter(T, tau)),
+            "sigma": str(sigma_from_tau(T, tau)),
         },
         fmt,
     )
 
 
-@main.command(name="reduce-check")
-@click.option("--triple", required=True, help="r1,r2,d1,d2")
-@click.option("--sigma", "sigma_text", required=True, help="rational p/q, > 0")
-@click.option("--sub", default=None, help="r1',r2',d1',d2' (omit to sample)")
-@click.option("--samples", type=int, default=100, show_default=True,
-              help="number of random subobjects when --sub is omitted")
-@click.option("--seed", type=int, default=0, show_default=True)
-@_format_option
-@_guard
+@_command(
+    "reduce-check", _TRIPLE,
+    ("--sigma", dict(dest="sigma_text", required=True, help="rational p/q, > 0")),
+    ("--sub", dict(help="r1',r2',d1',d2' (omit to sample)")),
+    ("--samples", dict(type=int, default=100,
+                       help="number of random subobjects when --sub is omitted (default 100)")),
+    ("--seed", dict(type=int, default=0, help="(default 0)")),
+)
 def reduce_check(
     triple: str, sigma_text: str, sub: Optional[str], samples: int, seed: int, fmt: str
 ) -> None:
@@ -310,7 +322,7 @@ def reduce_check(
             sys.exit(1)
         return
     if samples < 1:
-        _fail("--samples must be >= 1")
+        raise ValueError("--samples must be >= 1")
     rng = random.Random(seed)
     checked = 0
     while checked < samples:
@@ -331,19 +343,11 @@ def reduce_check(
     _emit({"samples": samples, "seed": seed, "all_consistent": True}, fmt)
 
 
-@main.command(name="vortex-solve")
-@click.option("--n", type=int, default=64, show_default=True)
-@click.option("--d1", type=int, required=True)
-@click.option("--d2", type=int, required=True)
-@click.option("--sigma", type=float, required=True)
-@click.option("--profile", "profile_text", required=True,
-              help="constant:LEVEL | cosine:LEVEL:AMPLITUDE | zero")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--max-iter", type=int, default=200, show_default=True)
-@click.option("--dump-fields", "dump_path", default=None,
-              help="write x,y,u1,u2,res1,res2 CSV to this path")
-@_format_option
-@_guard
+@_command(
+    "vortex-solve", _N, _D1, _D2, ("--sigma", dict(type=float, required=True)),
+    _PROFILE, _TOL, _MAX_ITER,
+    ("--dump-fields", dict(dest="dump_path", help="write x,y,u1,u2,res1,res2 CSV to this path")),
+)
 def vortex_solve(
     n: int, d1: int, d2: int, sigma: float, profile_text: str,
     tol: float, max_iter: int, dump_path: Optional[str], fmt: str,
@@ -359,22 +363,15 @@ def vortex_solve(
     _emit(payload, fmt)
     if sol.status is not SolveStatus.FEASIBLE:
         if sol.certificate:
-            click.echo(f"certificate: {sol.certificate}", err=True)
+            print(f"certificate: {sol.certificate}", file=sys.stderr)
         sys.exit(1)
 
 
-@main.command(name="vortex-sweep")
-@click.option("--n", type=int, default=64, show_default=True)
-@click.option("--d1", type=int, required=True)
-@click.option("--d2", type=int, required=True)
-@click.option("--sigmas", "sigmas_text", required=True,
-              help="comma-separated, ascending")
-@click.option("--profile", "profile_text", required=True,
-              help="constant:LEVEL | cosine:LEVEL:AMPLITUDE | zero")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--max-iter", type=int, default=200, show_default=True)
-@_format_option
-@_guard
+@_command(
+    "vortex-sweep", _N, _D1, _D2,
+    ("--sigmas", dict(dest="sigmas_text", required=True, help="comma-separated, ascending")),
+    _PROFILE, _TOL, _MAX_ITER,
+)
 def vortex_sweep(
     n: int, d1: int, d2: int, sigmas_text: str, profile_text: str,
     tol: float, max_iter: int, fmt: str,
@@ -385,23 +382,16 @@ def vortex_sweep(
     try:
         sigmas = [float(s) for s in sigmas_text.split(",")]
     except ValueError:
-        _fail(f"--sigmas must be comma-separated floats, got {sigmas_text!r}")
+        raise ValueError(f"--sigmas must be comma-separated floats, got {sigmas_text!r}")
     profile = _parse_profile(profile_text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rows = sweep_sigma(n, d1, d2, profile, sigmas, tol=tol, max_iter=max_iter)
-    records = [dict(dataclasses.asdict(r), status=r.status.value) for r in rows]
-    if fmt == "json":
-        click.echo(json.dumps(records, separators=(",", ":"), allow_nan=False))
-    else:
-        click.echo(",".join(records[0]))
-        for rec in records:
-            cells = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in rec.values())
-            click.echo(",".join(cells))
+    _emit([dict(dataclasses.asdict(r), status=r.status.value) for r in rows], fmt)
     sweep_issues = [w for w in caught if issubclass(w.category, SweepWarning)]
     if sweep_issues:
         for w in sweep_issues:
-            click.echo(f"warning: {w.message}", err=True)
+            print(f"warning: {w.message}", file=sys.stderr)
         sys.exit(1)
 
 

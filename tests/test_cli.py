@@ -1,25 +1,48 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import triplekit
 from triplekit.cli import main
 
 
+class InProcessRunner:
+    """Calls a CLI entry point in this process with stdout and stderr
+    captured, and reports its exit code as a separate process would."""
+
+    @staticmethod
+    def invoke(entry, args):
+        out, err = io.StringIO(), io.StringIO()
+        code = 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                entry(args)
+            except SystemExit as exc:
+                code = exc.code or 0
+        return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
+                               output=out.getvalue() + err.getvalue())
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return InProcessRunner()
 
 
 def test_theta_command(runner):
     res = runner.invoke(main, ["theta", "--triple", "2,1,3,0", "--sub", "2,0,3,0", "--tau", "2"])
     assert res.exit_code == 0
     assert res.stdout == '{"theta":"-1/2"}\n'
+    # a value that starts with '-' is a value, not a flag
+    res = runner.invoke(main, ["theta", "--triple", "2,1,3,0", "--sub", "2,0,3,0", "--tau", "-3/2"])
+    assert res.exit_code == 0
+    assert res.stdout == '{"theta":"3"}\n'
 
 
 def test_theta_rejects_decimal_tau(runner):
@@ -33,6 +56,9 @@ def test_convert_from_sigma(runner):
     res = runner.invoke(main, ["convert", "--triple", "2,1,2,0", "--sigma", "2"])
     assert res.exit_code == 0
     assert res.stdout == '{"tau":"4/3","tau_prime":"-2/3","sigma":"2"}\n'
+    res = runner.invoke(main, ["convert", "--triple", "2,1,2,0", "--sigma", "-2/3"])
+    assert res.exit_code == 0
+    assert res.stdout == '{"tau":"4/9","tau_prime":"10/9","sigma":"-2/3"}\n'
 
 
 def test_convert_from_tau_csv(runner):
@@ -67,6 +93,16 @@ def test_bounds_command(runner):
         "quot_E1_bound": "4/3",
     }
     assert payload["fibration_bound"] is True
+    # in CSV a nested record is flattened to one key,value line per field
+    res = runner.invoke(main, ["bounds", "--triple", "2,1,2,0", "--tau", "4/3", "--genus", "0",
+                               "--format", "csv"])
+    assert res.exit_code == 0
+    assert res.stdout == (
+        "tau_interval,1;2\nsigma_interval,1;4\nsmall_tau_window,1/4\n"
+        "thresholds.sub_E1_bound,4/3\nthresholds.sub_kernel_bound,-2/3\n"
+        "thresholds.quot_E2_bound,-2/3\nthresholds.quot_E1_bound,4/3\n"
+        "fibration_bound,True\n"
+    )
 
 
 def test_bounds_unbounded_interval_renders_null(runner):
@@ -98,6 +134,10 @@ def test_generic_exit_codes(runner):
                                "--window", "4"])
     assert res.exit_code == 1
     assert json.loads(res.stdout)["generic"] is False
+    res = runner.invoke(main, ["generic", "--triple", "2,1,-1,-3", "--tau", "-1/4",
+                               "--window", "3"])
+    assert res.exit_code == 0
+    assert res.stdout == '{"tau":"-1/4","window":3,"generic":true}\n'
     # outside the admissible interval is an input error, not a verdict
     res = runner.invoke(main, ["generic", "--triple", "2,1,2,0", "--tau", "3",
                                "--window", "4"])
@@ -172,6 +212,7 @@ def test_vortex_solve_infeasible_exit_and_certificate(runner):
         ["--n", "32", "--d1", "0", "--d2", "0", "--sigma", "-0.5",
          "--profile", "constant:3.141592653589793"],
         ["--n", "16", "--d1", "0", "--d2", "0", "--sigma", "0", "--profile", "constant:1"],
+        ["--n", "16", "--d1", "0", "--d2", "0", "--sigma", "-1e-3", "--profile", "constant:1"],
         ["--n", "16", "--d1", "0", "--d2", "-1", "--sigma", "1",
          "--profile", "cosine:2.058489233079848:0.9068762438404571"],
     ):
@@ -263,6 +304,22 @@ def test_vortex_solve_rejects_bad_grid_and_profile(runner):
     assert not caught, caught
 
 
+def test_non_finite_output_is_an_error_in_both_formats(runner):
+    # the residual of this solve overflows to inf (its overflow warnings are
+    # a solver fault of their own); no format may print it as a verdict
+    for cmd, sigma in (("vortex-solve", ["--sigma", "2"]), ("vortex-sweep", ["--sigmas", "1,2"])):
+        for fmt in ("json", "csv"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = runner.invoke(main, [cmd, "--n", "16", "--d1", "0", "--d2", "0"] + sigma
+                                    + ["--profile", "cosine:3.5e-308:1e-308", "--format", fmt])
+            assert res.exit_code == 2, (cmd, fmt)
+            assert res.stdout == "", (cmd, fmt)
+            assert res.stderr.startswith("error: "), (cmd, fmt, res.stderr)
+            assert len(res.stderr.splitlines()) == 1, (cmd, fmt, res.stderr)
+            assert all(issubclass(w.category, RuntimeWarning) for w in caught), caught
+
+
 def test_vortex_sweep_json(runner):
     res = runner.invoke(main, ["vortex-sweep", "--n", "32", "--d1", "0", "--d2", "0",
                                "--sigmas", "-0.5,0.5", "--profile", "constant:3.14159"])
@@ -348,14 +405,14 @@ def test_exact_commands_do_not_import_numpy():
         "    runpy.run_module('triplekit', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert not exc.code\n"
-        "print('numpy' in sys.modules)\n"
+        "print('numpy' in sys.modules, 'click' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(triplekit.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     lines = out.stdout.splitlines()
     assert json.loads(lines[0])["walls"]
-    assert lines[-1] == "False"
+    assert lines[-1] == "False False"
 
 
 def test_malformed_triples_exit_two(runner):
