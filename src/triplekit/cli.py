@@ -377,21 +377,20 @@ def vortex_sweep(
     tol: float, max_iter: int, fmt: str,
 ) -> None:
     """Feasibility sweep over sigma values (exit 1 on indeterminate rows)."""
-    from .vortex import SweepWarning, sweep_sigma
+    from .vortex import SolveStatus, SweepWarning, sweep_sigma
 
     try:
         sigmas = [float(s) for s in sigmas_text.split(",")]
     except ValueError:
         raise ValueError(f"--sigmas must be comma-separated floats, got {sigmas_text!r}")
     profile = _parse_profile(profile_text)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    # the rows decide the exit; numpy's own warnings pass through
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SweepWarning)
         rows = sweep_sigma(n, d1, d2, profile, sigmas, tol=tol, max_iter=max_iter)
     _emit([dict(dataclasses.asdict(r), status=r.status.value) for r in rows], fmt)
-    sweep_issues = [w for w in caught if issubclass(w.category, SweepWarning)]
-    if sweep_issues:
-        for w in sweep_issues:
-            print(f"warning: {w.message}", file=sys.stderr)
+    if any(r.status is SolveStatus.INDETERMINATE for r in rows):
+        print("warning: sweep contains indeterminate verdicts", file=sys.stderr)
         sys.exit(1)
 
 

@@ -267,11 +267,15 @@ def residual(p: VortexProblem, u1: np.ndarray, u2: np.ndarray) -> ResidualReport
     coupling = p.phi_sq * np.exp(2.0 * (u1 - u2))
     res1 = TWO_PI * p.d1 - p.grid.laplacian(u1) + coupling - TWO_PI * p.tau
     res2 = TWO_PI * p.d2 - p.grid.laplacian(u2) - coupling - TWO_PI * p.tau_prime
+    return ResidualReport(res1, res2, *_norms(res1, res2))
+
+
+def _norms(res1: np.ndarray, res2: np.ndarray) -> Tuple[float, float]:
+    """(sup, l2) of a residual pair, the norms every verdict reports."""
     sup = float(max(np.abs(res1).max(), np.abs(res2).max()))
     # scaled by sup before squaring, so defects near 1e200 do not overflow
     scale = sup if 0.0 < sup < np.inf else 1.0
-    l2 = scale * float(np.sqrt(np.mean((res1 / scale) ** 2 + (res2 / scale) ** 2)))
-    return ResidualReport(res1=res1, res2=res2, sup=sup, l2=l2)
+    return sup, scale * float(np.sqrt(np.mean((res1 / scale) ** 2 + (res2 / scale) ** 2)))
 
 
 class SolveStatus(str, Enum):
@@ -284,21 +288,34 @@ class SolveStatus(str, Enum):
 class VortexSolution:
     """Solver output.
 
-    feasible mirrors status == FEASIBLE.  Infeasible comes only from a
-    proof, zero coupling or the integral obstruction, which certificate
-    names.  Indeterminate means Newton stopped short of the gate (above
-    the threshold, unless _newton runs alone as a witness below it), and
+    v = u1 - u2 is the field the solver iterates on; the pair u1 = v/2,
+    u2 = -v/2 and feasible (status is FEASIBLE) are derived from it.
+    residual_sup and residual_l2 are the norms of the pair residuals
+    -G/2 and +G/2 at v.  Infeasible comes only from a proof, zero
+    coupling or the integral obstruction, which certificate names.
+    Indeterminate means Newton stopped short of the gate (above the
+    threshold, unless _newton runs alone as a witness below it), and
     certificate says why it stopped and how far E fell.
     """
 
-    u1: np.ndarray
-    u2: np.ndarray
+    v: np.ndarray
     residual_sup: float
     residual_l2: float
     iterations: int
-    feasible: bool
     status: SolveStatus
     certificate: Optional[str] = None
+
+    @property
+    def u1(self) -> np.ndarray:
+        return 0.5 * self.v
+
+    @property
+    def u2(self) -> np.ndarray:
+        return -0.5 * self.v
+
+    @property
+    def feasible(self) -> bool:
+        return self.status is SolveStatus.FEASIBLE
 
 
 def _newton_direction(
@@ -345,28 +362,6 @@ def _newton_direction(
     return x
 
 
-def _package(
-    p: VortexProblem,
-    v: np.ndarray,
-    iterations: int,
-    status: SolveStatus,
-    certificate: Optional[str],
-) -> VortexSolution:
-    u1 = 0.5 * v
-    u2 = -0.5 * v
-    rep = residual(p, u1, u2)
-    return VortexSolution(
-        u1=u1,
-        u2=u2,
-        residual_sup=rep.sup,
-        residual_l2=rep.l2,
-        iterations=iterations,
-        feasible=status is SolveStatus.FEASIBLE,
-        status=status,
-        certificate=certificate,
-    )
-
-
 def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSolution:
     """Decide the reduced scalar equation, by proof where one applies.
 
@@ -398,26 +393,23 @@ def _obstruction(p: VortexProblem, a: float) -> Optional[VortexSolution]:
     mean(G(v)) = -a - 2*mean(phi_sq*e^{2v}) < 0 once a >= 0: the discrete
     system has no solution, whatever Newton would do with it.
     """
-    v = np.zeros(p.grid.shape)
     if float(p.phi_sq.max()) == 0.0:
         # linear degenerate case: lap(v) = a is solvable on the torus only
         # for a = 0, and then v = 0 in the mean-zero gauge
         if abs(a) < TRACE_TOL:
-            return _package(p, v, 0, SolveStatus.FEASIBLE, None)
-        return _package(
-            p,
-            v,
-            0,
-            SolveStatus.INFEASIBLE,
-            "zero coupling: constant forcing has nonzero mean, linear problem unsolvable",
-        )
-    if a >= 0:
-        return _package(
-            p, v, 0, SolveStatus.INFEASIBLE,
+            status, certificate = SolveStatus.FEASIBLE, None
+        else:
+            status, certificate = SolveStatus.INFEASIBLE, (
+                "zero coupling: constant forcing has nonzero mean, linear problem unsolvable")
+    elif a >= 0:
+        status, certificate = SolveStatus.INFEASIBLE, (
             f"integral obstruction: 2*pi*(d1 - d2 - sigma) = {a:.6g} >= 0, but "
-            "mean(lap v) = 0 and mean(2 phi_sq e^{2v}) > 0 for every v",
-        )
-    return None
+            "mean(lap v) = 0 and mean(2 phi_sq e^{2v}) > 0 for every v")
+    else:
+        return None
+    # lap(0) = 0, so at v = 0 the pair residuals are +-(a/2 + phi_sq) in closed form
+    res = 0.5 * a + p.phi_sq
+    return VortexSolution(np.zeros(p.grid.shape), *_norms(res, -res), 0, status, certificate)
 
 
 def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
@@ -471,7 +463,7 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
         gsup = float(np.abs(G).max())
         vsup = float(np.abs(v).max())
         if gsup < 2.0 * tol and (last_step is None or last_step <= 1e-6 * (1.0 + vsup)):
-            return _package(p, v, iterations, SolveStatus.FEASIBLE, None)
+            return VortexSolution(v, *_norms(-0.5 * G, 0.5 * G), iterations, SolveStatus.FEASIBLE)
         if iterations == max_iter:
             break
 
@@ -504,7 +496,8 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
 
     certificate = (f"{reason}: E fell by {fall:.6g}, mean(v) went from {c0:.6g} "
                    f"to {float(v.mean()):.6g} in {iterations} steps")
-    return _package(p, v, iterations, SolveStatus.INDETERMINATE, certificate)
+    return VortexSolution(v, *_norms(-0.5 * G, 0.5 * G), iterations,
+                          SolveStatus.INDETERMINATE, certificate)
 
 
 def integral_identity_check(p: VortexProblem, s: VortexSolution) -> float:
@@ -518,8 +511,7 @@ def integral_identity_check(p: VortexProblem, s: VortexSolution) -> float:
         raise ConstraintViolationError(
             "integral identity is only meaningful for a feasible solution"
         )
-    v = s.u1 - s.u2
-    quad = float(np.mean(2.0 * p.phi_sq * np.exp(2.0 * v)))
+    quad = float(np.mean(2.0 * p.phi_sq * np.exp(2.0 * s.v)))
     return abs(quad - TWO_PI * (p.sigma - (p.d1 - p.d2)))
 
 
@@ -569,8 +561,7 @@ def sweep_sigma(
         )
     if any(r.status is SolveStatus.INDETERMINATE for r in rows):
         warnings.warn(
-            "sweep contains indeterminate verdicts; feasibility monotonicity "
-            "not verified",
+            "sweep contains indeterminate verdicts",
             SweepWarning,
             stacklevel=2,
         )

@@ -302,6 +302,9 @@ def test_solve_negative_sigma_diverges_with_certificate():
     assert "2*pi*(d1 - d2 - sigma) = 3.14159 >= 0" in s.certificate
     # the obstruction is reported at v = 0: G = -a - 2*pi everywhere
     assert s.residual_sup == pytest.approx(0.5 * (0.5 * TWO_PI + TWO_PI), rel=1e-12)
+    # at a = 0 that defect is phi_sq itself, however small next to 2*pi*d1
+    s = solve(build_problem(16, 2, 1, 1.0, ConstantProfile(1e-50)))
+    assert _obstructed(s) and s.residual_sup == 1e-50
     # Newton alone at a > 0: E is unbounded below along the constants
     assert _witness_energy(p) < -1e20
 
@@ -617,20 +620,31 @@ def test_newton_direction_matches_dense_solve():
 
 
 def test_spectral_layer_runs_on_the_real_fft(monkeypatch):
-    # with the complex 2-D transforms made to fail, a feasible solve and a
-    # Newton direction still go through: the real FFT carries them
+    # with the complex 2-D transforms and the pair residual made to fail, a
+    # feasible solve and a Newton direction still go through: the real FFT
+    # carries them, and solve reports the defect of the G it gated on
     def refuse(*args, **kwargs):
-        raise AssertionError("complex 2-D FFT called")
+        raise AssertionError("refused call")
 
     monkeypatch.setattr(np.fft, "fft2", refuse)
     monkeypatch.setattr(np.fft, "ifft2", refuse)
+    monkeypatch.setattr("triplekit.vortex.residual", refuse)
     p = build_problem(64, 1, 0, 2.0, CosineProfile(3.14159, 1.5))
     s = solve(p)
     assert s.feasible and s.iterations > 0
+    # u1 and u2 are derived from the v that was solved for, bit for bit
+    assert (s.u1 - s.u2).tobytes() == s.v.tobytes()
+    assert s.u2.tobytes() == (-s.u1).tobytes()
     grid = p.grid
     G = np.random.default_rng(3).standard_normal(grid.shape)
     delta = _newton_direction(grid, np.full(grid.shape, 2.0), G)
     assert delta is not None and np.isfinite(delta).all()
+    # the proofs run no transform at all
+    monkeypatch.setattr(np.fft, "rfft2", refuse)
+    monkeypatch.setattr(np.fft, "irfft2", refuse)
+    assert _obstructed(solve(build_problem(64, 1, 0, 1.0, CosineProfile(3.14159, 1.5))))
+    s = solve(build_problem(64, 0, 0, 0.0, ZeroProfile()))
+    assert s.feasible and s.residual_sup == 0.0
 
 
 def test_import_and_solve_do_not_load_scipy():
