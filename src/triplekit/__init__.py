@@ -15,7 +15,6 @@ from .invariants import (
     InvalidSubtripleError,
     InvariantError,
     ParameterRangeError,
-    Rational,
     SubtripleInvariants,
     TripleInvariants,
     dual_invariants,
@@ -60,7 +59,6 @@ __all__ = [
     "InvalidSubtripleError",
     "InvariantError",
     "ParameterRangeError",
-    "Rational",
     "SubtripleInvariants",
     "TripleInvariants",
     "dual_invariants",

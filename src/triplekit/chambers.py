@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional
 
-from .invariants import ParameterRangeError, Rational, TripleInvariants
+from .invariants import ParameterRangeError, TripleInvariants
 from .stability import sigma_from_tau
 
 
@@ -31,18 +31,14 @@ class ParameterInterval:
     upper is None for an unbounded interval (equal ranks).
     """
 
-    lower: Rational
-    upper: Optional[Rational]
-
-    @property
-    def is_bounded(self) -> bool:
-        return self.upper is not None
+    lower: Fraction
+    upper: Optional[Fraction]
 
     @property
     def is_empty(self) -> bool:
         return self.upper is not None and self.upper <= self.lower
 
-    def contains(self, tau: Rational) -> bool:
+    def contains(self, tau: Fraction) -> bool:
         """Strict interior membership."""
         tau = Fraction(tau)
         if tau <= self.lower:
@@ -81,7 +77,7 @@ def sigma_interval(T: TripleInvariants) -> ParameterInterval:
 @dataclass(frozen=True)
 class ChamberDecomposition:
     interval: ParameterInterval
-    walls: List[Rational]
+    walls: List[Fraction]
     coprime_generic: bool
 
 
@@ -129,7 +125,7 @@ def enumerate_walls(T: TripleInvariants, degree_window: int) -> ChamberDecomposi
     )
 
 
-def is_generic(T: TripleInvariants, tau: Rational, degree_window: int) -> bool:
+def is_generic(T: TripleInvariants, tau: Fraction, degree_window: int) -> bool:
     """True when tau avoids every candidate wall found within the window:
     for no rank pair of enumerate_walls is S = (tau*(r2*r1p - r1*r2p) +
     r2p*(d1+d2)) / r2 an integer inside the pair's degree-sum range."""
@@ -167,7 +163,7 @@ class ProjectivityFlags:
 
 
 def projectivity_flags(
-    T: TripleInvariants, tau: Rational, degree_window: int
+    T: TripleInvariants, tau: Fraction, degree_window: int
 ) -> ProjectivityFlags:
     """Projectivity of the moduli space at a rational parameter value.
 
@@ -180,36 +176,21 @@ def projectivity_flags(
     return ProjectivityFlags(quasi_projective=True, projective=coprime and generic)
 
 
-def _gap_has_rational(lo: Rational, hi: Rational, max_denominator: int) -> bool:
-    # smallest p/q strictly above lo for each denominator q; inside iff < hi
-    for q in range(1, max_denominator + 1):
-        p = math.floor(lo * q) + 1
-        if Fraction(p, q) < hi:
-            return True
-    return False
-
-
-def small_tau_window(T: TripleInvariants) -> Rational:
+def small_tau_window(T: TripleInvariants) -> Fraction:
     """Width of the chamber hugging the lower endpoint.
 
-    Returns an eps > 0 such that (mu1, mu1 + eps) contains no rational
-    with denominator <= r1 and (mu2 - (r1/r2)*eps, mu2) contains no
-    rational with denominator <= r2.  Candidates are eps = 1/(2*L*m) with
-    L = lcm(1..max(r1, r2)) and m = 1..max(1, ceil(r1/r2)); the first
-    (largest) candidate passing both scans is returned.  The last
-    candidate always passes: eps <= 1/L clears the first gap and
-    m >= r1/r2 shrinks the second below the 1/L spacing as well.
+    Returns eps = 1/(2L), L = lcm(1..R), R = max(r1, r2), such that
+    (mu1, mu1 + eps) contains no rational with denominator <= r1 and
+    (mu2 - (r1/r2)*eps, mu2) contains no rational with denominator <= r2.
+
+    First gap: mu1 and every p/q with q <= r1 are multiples of 1/L, and
+    consecutive multiples are 1/L > eps apart.  Second gap: a rational
+    p/q != mu2 with q <= r2 lies at least 1/(q*r2) >= 1/r2^2 from mu2, and
+    (r1/r2)*eps <= 1/r2^2 because r1*r2 <= 2L: for R = 1 both sides are
+    1 and 2, and for R >= 2, r1*r2 <= R^2 <= 2R(R - 1) <= 2L, since the
+    coprime R and R - 1 both divide L.
     """
-    L = math.lcm(*range(1, max(T.r1, T.r2) + 1))
-    m_max = max(1, -(-T.r1 // T.r2))
-    for m in range(1, m_max + 1):
-        eps = Fraction(1, 2 * L * m)
-        if _gap_has_rational(T.mu1, T.mu1 + eps, T.r1):
-            continue
-        if _gap_has_rational(T.mu2 - Fraction(T.r1, T.r2) * eps, T.mu2, T.r2):
-            continue
-        return eps
-    raise AssertionError("no candidate width passed the gap scans")
+    return Fraction(1, 2 * math.lcm(*range(1, max(T.r1, T.r2) + 1)))
 
 
 def fibration_bound(T: TripleInvariants, genus: int) -> bool:

@@ -34,7 +34,6 @@ from .chambers import (
 )
 from .extensions import check_slope_equivalence, dual_parameter
 from .invariants import (
-    InvariantError,
     SubtripleInvariants,
     TripleInvariants,
     dual_invariants,
@@ -174,7 +173,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     fn = _COMMANDS[args.pop("command")][0]
     try:
         fn(**args)
-    except (InvariantError, ValueError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariants import (
-    InvalidSubtripleError,
     ParameterRangeError,
-    Rational,
     SubtripleInvariants,
     TripleInvariants,
+    _check_proper,
 )
 from .stability import mu_sigma, tau_prime, theta_tau
 
@@ -65,7 +64,7 @@ class SlopeEquivalence:
 
 
 def check_slope_equivalence(
-    T: TripleInvariants, Tp: SubtripleInvariants, sigma: Rational
+    T: TripleInvariants, Tp: SubtripleInvariants, sigma: Fraction
 ) -> SlopeEquivalence:
     """Run the three equivalent subobject tests at polarization sigma > 0.
 
@@ -80,14 +79,7 @@ def check_slope_equivalence(
     sigma = Fraction(sigma)
     if sigma <= 0:
         raise ParameterRangeError(f"polarization weight must be > 0, got {sigma}")
-    if Tp.is_trivial:
-        raise InvalidSubtripleError("subobject must be nontrivial")
-    if Tp.equals_full(T):
-        raise InvalidSubtripleError("subobject must be proper")
-    if not Tp.fits_inside(T):
-        raise InvalidSubtripleError(
-            f"subobject ranks ({Tp.r1p}, {Tp.r2p}) exceed ambient ({T.r1}, {T.r2})"
-        )
+    _check_proper(T, Tp)
     mu = mu_sigma(T, sigma)
     return SlopeEquivalence(
         f_slope_test=_f_slope(Tp.total_rank, Tp.total_degree, Tp.r2p, sigma)
@@ -97,7 +89,7 @@ def check_slope_equivalence(
     )
 
 
-def dual_parameter(T: TripleInvariants, tau: Rational) -> Rational:
+def dual_parameter(T: TripleInvariants, tau: Fraction) -> Fraction:
     """Parameter value the duality involution pairs with tau.
 
     Returns -tau_prime(T, tau).  The defining property is that the sigma

@@ -18,11 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Exact rational scalar used throughout the stability modules.  The stdlib
-# Fraction already guarantees the canonical form we need (reduced, positive
-# denominator, exact arithmetic), so it is the Rational type.
-Rational = Fraction
-
 
 class InvariantError(ValueError):
     """Base class for invalid invariant data."""
@@ -44,7 +39,7 @@ class ParameterRangeError(InvariantError):
     """A stability parameter outside its admissible interval."""
 
 
-def slope(degree: int, rank: int) -> Rational:
+def slope(degree: int, rank: int) -> Fraction:
     """Exact slope degree/rank.  The rank must be positive."""
     if rank <= 0:
         raise InvalidRankError(f"rank must be positive, got {rank}")
@@ -76,17 +71,17 @@ class TripleInvariants:
         return self.d1 + self.d2
 
     @property
-    def mu1(self) -> Rational:
+    def mu1(self) -> Fraction:
         """Slope of the first bundle."""
         return slope(self.d1, self.r1)
 
     @property
-    def mu2(self) -> Rational:
+    def mu2(self) -> Fraction:
         """Slope of the second bundle."""
         return slope(self.d2, self.r2)
 
     @property
-    def mu(self) -> Rational:
+    def mu(self) -> Fraction:
         """Slope of the direct sum of the two bundles."""
         return slope(self.total_degree, self.total_rank)
 
@@ -143,6 +138,18 @@ class SubtripleInvariants:
             T.r2,
             T.d1,
             T.d2,
+        )
+
+
+def _check_proper(T: TripleInvariants, Tp: SubtripleInvariants) -> None:
+    """Reject Tp unless it is a proper nontrivial subobject of T."""
+    if Tp.is_trivial:
+        raise InvalidSubtripleError("subobject must be nontrivial")
+    if Tp.equals_full(T):
+        raise InvalidSubtripleError("subobject must be proper")
+    if not Tp.fits_inside(T):
+        raise InvalidSubtripleError(
+            f"subobject ranks ({Tp.r1p}, {Tp.r2p}) exceed ambient ({T.r1}, {T.r2})"
         )
 
 

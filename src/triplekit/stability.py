@@ -23,15 +23,15 @@ from .invariants import (
     ConstraintViolationError,
     InvalidRankError,
     InvalidSubtripleError,
-    Rational,
     SubtripleInvariants,
     TripleInvariants,
+    _check_proper,
 )
 
 Invariants = Union[TripleInvariants, SubtripleInvariants]
 
 
-def theta_tau(T: TripleInvariants, Tp: SubtripleInvariants, tau: Rational) -> Rational:
+def theta_tau(T: TripleInvariants, Tp: SubtripleInvariants, tau: Fraction) -> Fraction:
     """Destabilization functional of the subobject Tp inside T at parameter tau.
 
     theta = (mu(sub) - tau) - (r2p/r2) * ((r1+r2)/(r1p+r2p)) * (mu(T) - tau)
@@ -52,7 +52,7 @@ def _second_rank(inv: Invariants) -> int:
     return inv.r2p if isinstance(inv, SubtripleInvariants) else inv.r2
 
 
-def mu_sigma(inv: Invariants, sigma: Rational) -> Rational:
+def mu_sigma(inv: Invariants, sigma: Fraction) -> Fraction:
     """sigma-slope: (d1 + d2 + r2*sigma) / (r1 + r2).
 
     Works for a triple or a subobject; only the second-slot rank feels
@@ -64,12 +64,12 @@ def mu_sigma(inv: Invariants, sigma: Rational) -> Rational:
     return Fraction(inv.total_degree + _second_rank(inv) * Fraction(sigma), inv.total_rank)
 
 
-def sigma_from_tau(T: TripleInvariants, tau: Rational) -> Rational:
+def sigma_from_tau(T: TripleInvariants, tau: Fraction) -> Fraction:
     """Parameter change tau -> sigma: ((r1+r2)*tau - (d1+d2)) / r2."""
     return Fraction(T.total_rank * Fraction(tau) - T.total_degree, T.r2)
 
 
-def tau_prime(T: TripleInvariants, tau: Rational) -> Rational:
+def tau_prime(T: TripleInvariants, tau: Fraction) -> Fraction:
     """Companion parameter: r1*tau + r2*tau' = d1 + d2, so
     tau' = (d1 + d2 - r1*tau)/r2.  Satisfies tau - tau' = sigma exactly.
 
@@ -103,7 +103,7 @@ class StabilityVerdict:
 
 def evaluate_stability(
     T: TripleInvariants,
-    tau: Rational,
+    tau: Fraction,
     candidates: Sequence[SubtripleInvariants],
 ) -> StabilityVerdict:
     """Three-way verdict of T at tau relative to a finite candidate set.
@@ -112,16 +112,9 @@ def evaluate_stability(
     identically zero, so admitting it would contradict strictness.
     """
     best: Optional[SubtripleInvariants] = None
-    best_theta: Optional[Rational] = None
+    best_theta: Optional[Fraction] = None
     for Tp in candidates:
-        if Tp.is_trivial:
-            raise InvalidSubtripleError("trivial candidate not allowed")
-        if Tp.equals_full(T):
-            raise InvalidSubtripleError("full triple is not a proper subobject")
-        if not Tp.fits_inside(T):
-            raise InvalidSubtripleError(
-                f"candidate ranks ({Tp.r1p}, {Tp.r2p}) exceed ambient ({T.r1}, {T.r2})"
-            )
+        _check_proper(T, Tp)
         th = theta_tau(T, Tp, tau)
         if best_theta is None or th > best_theta:
             best_theta = th
@@ -135,7 +128,7 @@ def evaluate_stability(
 
 def classify_phi_zero(
     T: TripleInvariants,
-    tau: Rational,
+    tau: Fraction,
     e1_semistable: bool,
     e2_semistable: bool,
 ) -> StabilityVerdict:
@@ -163,7 +156,7 @@ def classify_phi_zero(
 
 def classify_line_pair(
     T: TripleInvariants,
-    tau: Rational,
+    tau: Fraction,
     phi_nonzero: bool,
 ) -> StabilityVerdict:
     """Complete verdict for a pair of line bundles.
@@ -189,8 +182,8 @@ def kernel_image_identity(
     T: TripleInvariants,
     ker_inv: SubtripleInvariants,
     im_inv: SubtripleInvariants,
-    tau: Rational,
-) -> Rational:
+    tau: Fraction,
+) -> Fraction:
     """Weighted sum of theta over a kernel/image decomposition of T.
 
     For any splitting of the invariants (ranks and degrees summing

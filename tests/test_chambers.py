@@ -26,7 +26,7 @@ def test_parameter_interval_examples():
     iv = parameter_interval(TripleInvariants(2, 1, 2, 0))
     assert (iv.lower, iv.upper) == (1, 2)
     iv = parameter_interval(TripleInvariants(1, 1, 5, 3))
-    assert iv.lower == 5 and iv.upper is None and not iv.is_bounded
+    assert iv.lower == 5 and iv.upper is None
     iv = parameter_interval(TripleInvariants(1, 2, 1, 0))
     assert (iv.lower, iv.upper) == (1, 3)
 
@@ -133,7 +133,7 @@ def _walls_and_chamber_points(dec):
     if iv.is_empty:
         return []
     ends = [iv.lower, *dec.walls]
-    ends.append(iv.upper if iv.is_bounded else ends[-1] + 2)
+    ends.append(ends[-1] + 2 if iv.upper is None else iv.upper)
     return dec.walls + [(lo + hi) / 2 for lo, hi in zip(ends, ends[1:])]
 
 
@@ -193,25 +193,30 @@ def test_projectivity_examples():
 def test_small_tau_window_examples():
     assert small_tau_window(TripleInvariants(2, 1, 2, 0)) == Fraction(1, 4)
     assert small_tau_window(TripleInvariants(1, 1, 1, 0)) == Fraction(1, 2)
+    assert small_tau_window(TripleInvariants(12, 1, 5, -3)) == Fraction(1, 55440)
+    assert small_tau_window(TripleInvariants(3, 5, 1, 2)) == Fraction(1, 120)
 
 
 def test_small_tau_window_clears_both_gaps():
     # no invariant vector of bounded denominator may land in either gap:
     # subsheaves of E1 have slopes with denominator at most r1, quotients
-    # of E2 at most r2
+    # of E2 at most r2.  Each gap depends on its degree only modulo its
+    # rank, so every residue of every rank pair up to 12 is checked,
+    # r1 > 2*r2 included
     rng = random.Random(29)
-    for _ in range(120):
-        T = random_triple(rng, max_rank=5, max_deg=12)
-        eps = small_tau_window(T)
-        assert eps > 0
-        lo1, hi1 = T.mu1, T.mu1 + eps
-        lo2, hi2 = T.mu2 - Fraction(T.r1, T.r2) * eps, T.mu2
-        for q in range(1, T.r1 + 1):
-            p = lo1.numerator * q // lo1.denominator + 1
-            assert Fraction(p, q) >= hi1
-        for q in range(1, T.r2 + 1):
-            p = lo2.numerator * q // lo2.denominator + 1
-            assert Fraction(p, q) >= hi2
+    for r1, r2 in itertools.product(range(1, 13), repeat=2):
+        for a1, a2 in itertools.product(range(r1), range(r2)):
+            T = TripleInvariants(r1, r2, a1 + r1 * rng.randint(-2, 2), a2 + r2 * rng.randint(-2, 2))
+            eps = small_tau_window(T)
+            assert eps > 0
+            lo1, hi1 = T.mu1, T.mu1 + eps
+            lo2, hi2 = T.mu2 - Fraction(T.r1, T.r2) * eps, T.mu2
+            for q in range(1, T.r1 + 1):
+                p = lo1.numerator * q // lo1.denominator + 1
+                assert Fraction(p, q) >= hi1
+            for q in range(1, T.r2 + 1):
+                p = lo2.numerator * q // lo2.denominator + 1
+                assert Fraction(p, q) >= hi2
 
 
 def test_fibration_bound_examples():

@@ -417,6 +417,24 @@ def test_exact_commands_do_not_import_numpy():
     assert lines[-1] == "False False"
 
 
+def test_grid_too_large_for_memory_exits_two():
+    # a child capped at 2 GiB of address space cannot hold an n=40000 grid;
+    # never run this uncapped
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(triplekit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "triplekit", "vortex-solve", "--n", "40000", "--d1", "0",
+         "--d2", "0", "--sigma", "2", "--profile", "constant:1"],
+        capture_output=True, text=True, preexec_fn=cap, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == "" and out.stderr.startswith("error: ")
+
+
 def test_malformed_triples_exit_two(runner):
     res = runner.invoke(main, ["dimension", "--triple", "2,1,2", "--genus", "1"])
     assert res.exit_code == 2

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from triplekit import (
     ConstraintViolationError,
@@ -11,6 +10,7 @@ from triplekit import (
     StabilityStatus,
     SubtripleInvariants,
     TripleInvariants,
+    check_slope_equivalence,
     classify_line_pair,
     classify_phi_zero,
     dual_invariants,
@@ -31,14 +31,21 @@ from conftest import (
     random_triple,
 )
 
-rationals = st.fractions(max_denominator=40)
-triples = st.builds(
-    TripleInvariants,
-    st.integers(1, 5),
-    st.integers(1, 5),
-    st.integers(-12, 12),
-    st.integers(-12, 12),
-)
+EDGE_TAUS = [0, 1, -1, Fraction(1, 40), Fraction(-1, 40), Fraction(10**12, 7), Fraction(-10**12, 7)]
+
+
+def triples_and_taus(seed: int):
+    """Ranks 1-5 and degrees -12..12 against tau with denominator <= 40:
+    2000 seeded draws, numerators small or up to 10^12, then every edge
+    value of EDGE_TAUS against 20 triples each."""
+    rng = random.Random(seed)
+    for _ in range(2000):
+        big = rng.random() < 0.5
+        tau = random_sigma(rng, max_num=10**12 if big else 40, max_den=40)
+        yield random_triple(rng, max_rank=5, max_deg=12), tau
+    for tau in EDGE_TAUS:
+        for _ in range(20):
+            yield random_triple(rng, max_rank=5, max_deg=12), tau
 
 
 def test_theta_examples():
@@ -48,10 +55,10 @@ def test_theta_examples():
         theta_tau(TripleInvariants(1, 1, 1, 0), SubtripleInvariants(0, 0, 0, 0), 1)
 
 
-@given(triples, rationals)
-def test_theta_of_full_triple_vanishes(T, tau):
-    full = SubtripleInvariants(T.r1, T.r2, T.d1, T.d2)
-    assert theta_tau(T, full, tau) == 0
+def test_theta_of_full_triple_vanishes():
+    for T, tau in triples_and_taus(7):
+        full = SubtripleInvariants(T.r1, T.r2, T.d1, T.d2)
+        assert theta_tau(T, full, tau) == 0
 
 
 def test_mu_sigma_examples():
@@ -75,11 +82,11 @@ def test_parameter_conversions_examples():
     assert tau_prime(TripleInvariants(2, 1, 2, 0), 1) == 0
 
 
-@given(triples, rationals)
-def test_round_trip_and_sigma_is_tau_minus_tau_prime(T, x):
-    assert sigma_from_tau(T, mu_sigma(T, x)) == x
-    assert mu_sigma(T, sigma_from_tau(T, x)) == x
-    assert x - tau_prime(T, x) == sigma_from_tau(T, x)
+def test_round_trip_and_sigma_is_tau_minus_tau_prime():
+    for T, x in triples_and_taus(11):
+        assert sigma_from_tau(T, mu_sigma(T, x)) == x
+        assert mu_sigma(T, sigma_from_tau(T, x)) == x
+        assert x - tau_prime(T, x) == sigma_from_tau(T, x)
 
 
 def test_slope_thresholds_examples():
@@ -114,6 +121,23 @@ def test_evaluate_stability_rejects_bad_candidates():
         evaluate_stability(T, 1, [SubtripleInvariants(0, 0, 0, 0)])
     with pytest.raises(InvalidSubtripleError):
         evaluate_stability(T, 1, [SubtripleInvariants(2, 1, 0, 0)])
+
+
+def test_subobject_check_is_one_rule():
+    # a trivial, a full and an oversize subobject: both entry points
+    # reject each with the same message
+    T = TripleInvariants(2, 1, 2, 0)
+    messages = []
+    for Tp in (SubtripleInvariants(0, 0, 0, 0), SubtripleInvariants(2, 1, 2, 0),
+               SubtripleInvariants(3, 1, 0, 0)):
+        with pytest.raises(InvalidSubtripleError) as ev:
+            evaluate_stability(T, 1, [Tp])
+        with pytest.raises(InvalidSubtripleError) as ch:
+            check_slope_equivalence(T, Tp, 1)
+        assert str(ev.value) == str(ch.value)
+        messages.append(str(ev.value))
+    assert messages == ["subobject must be nontrivial", "subobject must be proper",
+                        "subobject ranks (3, 1) exceed ambient (2, 1)"]
 
 
 def test_evaluate_stability_witness_achieves_max():
