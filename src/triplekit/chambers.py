@@ -179,18 +179,18 @@ def projectivity_flags(
 def small_tau_window(T: TripleInvariants) -> Fraction:
     """Width of the chamber hugging the lower endpoint.
 
-    Returns eps = 1/(2L), L = lcm(1..R), R = max(r1, r2), such that
+    Returns eps = 1/L, L = lcm(1..R), R = max(r1, r2), such that
     (mu1, mu1 + eps) contains no rational with denominator <= r1 and
     (mu2 - (r1/r2)*eps, mu2) contains no rational with denominator <= r2.
 
-    First gap: mu1 and every p/q with q <= r1 are multiples of 1/L, and
-    consecutive multiples are 1/L > eps apart.  Second gap: a rational
-    p/q != mu2 with q <= r2 lies at least 1/(q*r2) >= 1/r2^2 from mu2, and
-    (r1/r2)*eps <= 1/r2^2 because r1*r2 <= 2L: for R = 1 both sides are
-    1 and 2, and for R >= 2, r1*r2 <= R^2 <= 2R(R - 1) <= 2L, since the
+    First gap: mu1 and every p/q with q <= r1 are multiples of eps.
+    Second gap, r1 <= r2: it is at most eps wide and ends at mu2, and mu2
+    and every p/q with q <= r2 are multiples of eps.  Second gap, r1 > r2:
+    a rational p/q != mu2 with q <= r2 lies at least 1/r2^2 from mu2, and
+    (r1/r2)*eps <= 1/r2^2 because r1*r2 <= R(R - 1) <= L, since the
     coprime R and R - 1 both divide L.
     """
-    return Fraction(1, 2 * math.lcm(*range(1, max(T.r1, T.r2) + 1)))
+    return Fraction(1, math.lcm(*range(1, max(T.r1, T.r2) + 1)))
 
 
 def fibration_bound(T: TripleInvariants, genus: int) -> bool:

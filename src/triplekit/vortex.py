@@ -146,10 +146,10 @@ class CosineProfile(PhiProfile):
             raise ValueError(
                 f"cosine profile level must be finite and > 0, got {self.level}"
             )
-        if not 0 <= self.amplitude < self.level:
+        if not (0 <= self.amplitude < self.level and math.isfinite(self.level + self.amplitude)):
             raise ValueError(
-                f"cosine amplitude must satisfy 0 <= amplitude < level, "
-                f"got amplitude={self.amplitude}, level={self.level}"
+                f"cosine amplitude must satisfy 0 <= amplitude < level, with level + amplitude "
+                f"finite, got amplitude={self.amplitude}, level={self.level}"
             )
 
     def sample(self, grid: TorusGrid) -> np.ndarray:
@@ -264,7 +264,8 @@ def residual(p: VortexProblem, u1: np.ndarray, u2: np.ndarray) -> ResidualReport
         raise ValueError(
             f"field shapes {u1.shape}, {u2.shape} do not match grid {p.grid.shape}"
         )
-    coupling = p.phi_sq * np.exp(2.0 * (u1 - u2))
+    c0, psi = _gauge(p, _forcing(p))
+    coupling = psi * np.exp(2.0 * ((u1 - u2) - c0))
     res1 = TWO_PI * p.d1 - p.grid.laplacian(u1) + coupling - TWO_PI * p.tau
     res2 = TWO_PI * p.d2 - p.grid.laplacian(u2) - coupling - TWO_PI * p.tau_prime
     return ResidualReport(res1, res2, *_norms(res1, res2))
@@ -288,11 +289,11 @@ class SolveStatus(str, Enum):
 class VortexSolution:
     """Solver output.
 
-    v = u1 - u2 is the field the solver iterates on; the pair u1 = v/2,
+    v = u1 - u2 is the field the solver solves for; the pair u1 = v/2,
     u2 = -v/2 and feasible (status is FEASIBLE) are derived from it.
     residual_sup and residual_l2 are the norms of the pair residuals
-    -G/2 and +G/2 at v.  Infeasible comes only from a proof, zero
-    coupling or the integral obstruction, which certificate names.
+    -G/2 and +G/2 that Newton gated on.  Infeasible comes only from a
+    proof, zero coupling or the integral obstruction, which certificate names.
     Indeterminate means Newton stopped short of the gate (above the
     threshold, unless _newton runs alone as a witness below it), and
     certificate says why it stopped and how far E fell.
@@ -412,6 +413,22 @@ def _obstruction(p: VortexProblem, a: float) -> Optional[VortexSolution]:
     return VortexSolution(np.zeros(p.grid.shape), *_norms(res, -res), 0, status, certificate)
 
 
+def _gauge(p: VortexProblem, a: float) -> Tuple[float, np.ndarray]:
+    """Newton's start c0 and the coupling psi = phi_sq*e^{2*c0} there.
+
+    For a < 0 and a nonzero coupling e^{2*c0} = -a/(2*mean(phi_sq)) balances
+    the integral budget; otherwise the gauge is (0, phi_sq).  psi is built
+    from rho = phi_sq/max(phi_sq) and c0 from logs, so no coupling scale
+    overflows them; rho is summed exactly, so constant phi_sq gives psi = -a/2.
+    """
+    top = float(p.phi_sq.max())
+    if a >= 0 or top == 0.0:
+        return 0.0, p.phi_sq
+    rho = p.phi_sq / top
+    scale = -0.5 * a / (math.fsum(rho.ravel()) / rho.size)
+    return 0.5 * (math.log(scale) - math.log(top)), scale * rho
+
+
 def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     """Damped Newton descent on the energy of the reduced scalar equation.
 
@@ -420,9 +437,10 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     Hessian -lap + 4*phi_sq*e^{2v} _newton_direction inverts; each step
     backtracks on E until the Armijo condition holds.  For a < 0, E is
     strictly convex and coercive, so this converges from any start
-    (Boyd-Vandenberghe 2004, 9.5).  It starts at c0 = ln(-a/(2*mean(phi_sq)))/2,
-    the constant that balances the integral budget and the exact solution
-    for a constant phi_sq.  For a >= 0 it starts at v = 0; E is then
+    (Boyd-Vandenberghe 2004, 9.5).  It iterates on w = v - c0 from w = 0
+    with the coupling psi*e^{2w} of _gauge, where c0 balances the integral
+    budget (the exact solution for a constant phi_sq), and G is measured
+    before v = c0 + w is rounded.  For a >= 0 it starts at v = 0; E is then
     unbounded below (a > 0) or tends to its unattained infimum 0 (a = 0),
     and the run is a witness independent of the integral obstruction.
 
@@ -435,25 +453,15 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     the start and at the end, and the step count.
     """
     grid = p.grid
-    phi = p.phi_sq
     a = _forcing(p)
+    c0, psi = _gauge(p, a)
 
-    def state(v):
-        coupling = phi * np.exp(2.0 * v)
-        return coupling, grid.laplacian(v) - a - 2.0 * coupling
+    def state(w):
+        coupling = psi * np.exp(2.0 * w)
+        return coupling, grid.laplacian(w) - a - 2.0 * coupling
 
-    c0 = 0.0
-    if a < 0:
-        # summed exactly, so a constant phi_sq balances to its exact solution
-        mean_phi = math.fsum((phi / phi.size).ravel())
-        # the start's e^{2*c0}; past the float range exp(2v) overflows
-        if not (mean_phi > 0 and math.isfinite(-0.5 * a / mean_phi)):
-            raise ValueError(
-                "e^(2*c0) = -2*pi*(d1 - d2 - sigma)/(2*mean(phi_sq)) overflows a float"
-            )
-        c0 = 0.5 * (math.log(-0.5 * a) - math.log(mean_phi))
-    v = np.full(grid.shape, c0)
-    coupling, G = state(v)
+    w = np.zeros(grid.shape)
+    coupling, G = state(w)
     last_step: Optional[float] = None
     fall = 0.0
     reason = "budget spent"
@@ -461,6 +469,7 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     # the gate is tested at each of the max_iter + 1 iterates, the start too
     for iterations in range(max_iter + 1):
         gsup = float(np.abs(G).max())
+        v = c0 + w
         vsup = float(np.abs(v).max())
         if gsup < 2.0 * tol and (last_step is None or last_step <= 1e-6 * (1.0 + vsup)):
             return VortexSolution(v, *_norms(-0.5 * G, 0.5 * G), iterations, SolveStatus.FEASIBLE)
@@ -489,8 +498,8 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
             else:
                 reason = "no Armijo decrease"
                 break
-        v = v + alpha * delta
-        coupling, G = state(v)
+        w = w + alpha * delta
+        coupling, G = state(w)
         last_step = alpha * float(np.abs(delta).max())
         fall -= change
 
@@ -511,7 +520,8 @@ def integral_identity_check(p: VortexProblem, s: VortexSolution) -> float:
         raise ConstraintViolationError(
             "integral identity is only meaningful for a feasible solution"
         )
-    quad = float(np.mean(2.0 * p.phi_sq * np.exp(2.0 * s.v)))
+    c0, psi = _gauge(p, _forcing(p))
+    quad = float(np.mean(2.0 * psi * np.exp(2.0 * (s.v - c0))))
     return abs(quad - TWO_PI * (p.sigma - (p.d1 - p.d2)))
 
 

@@ -191,10 +191,10 @@ def test_projectivity_examples():
 
 
 def test_small_tau_window_examples():
-    assert small_tau_window(TripleInvariants(2, 1, 2, 0)) == Fraction(1, 4)
-    assert small_tau_window(TripleInvariants(1, 1, 1, 0)) == Fraction(1, 2)
-    assert small_tau_window(TripleInvariants(12, 1, 5, -3)) == Fraction(1, 55440)
-    assert small_tau_window(TripleInvariants(3, 5, 1, 2)) == Fraction(1, 120)
+    assert small_tau_window(TripleInvariants(2, 1, 2, 0)) == Fraction(1, 2)
+    assert small_tau_window(TripleInvariants(1, 1, 1, 0)) == Fraction(1)
+    assert small_tau_window(TripleInvariants(12, 1, 5, -3)) == Fraction(1, 27720)
+    assert small_tau_window(TripleInvariants(3, 5, 1, 2)) == Fraction(1, 60)
 
 
 def test_small_tau_window_clears_both_gaps():

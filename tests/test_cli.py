@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,7 +84,7 @@ def test_bounds_command(runner):
     assert payload == {
         "tau_interval": ["1", "2"],
         "sigma_interval": ["1", "4"],
-        "small_tau_window": "1/4",
+        "small_tau_window": "1/2",
     }
     res = runner.invoke(main, ["bounds", "--triple", "2,1,2,0", "--tau", "4/3", "--genus", "0"])
     payload = json.loads(res.stdout)
@@ -98,7 +100,7 @@ def test_bounds_command(runner):
                                "--format", "csv"])
     assert res.exit_code == 0
     assert res.stdout == (
-        "tau_interval,1;2\nsigma_interval,1;4\nsmall_tau_window,1/4\n"
+        "tau_interval,1;2\nsigma_interval,1;4\nsmall_tau_window,1/2\n"
         "thresholds.sub_E1_bound,4/3\nthresholds.sub_kernel_bound,-2/3\n"
         "thresholds.quot_E2_bound,-2/3\nthresholds.quot_E1_bound,4/3\n"
         "fibration_bound,True\n"
@@ -203,6 +205,52 @@ def test_vortex_solve_feasible(runner):
         assert res.exit_code == 0, (profile, res.output)
         assert json.loads(res.stdout)["status"] == "feasible", profile
         assert res.stderr == "" and not caught, (profile, res.stderr, caught)
+    # Newton's start e^{2*c0} overflows a float for the first two (they were
+    # once rejected as input errors) and sits near e^692 for the third; each
+    # constant level is solved at its start
+    for sigma, profile in (("2", "constant:1e-308"), ("2", "constant:5e-324"),
+                           ("1e300", "constant:1")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0",
+                                       "--sigma", sigma, "--profile", profile])
+        assert res.exit_code == 0, (profile, res.output)
+        payload = _strict_json(res.stdout)
+        assert payload["status"] == "feasible" and payload["iterations"] == 0, payload
+        assert payload["residual_sup"] == 0.0, payload
+        assert res.stderr == "" and not caught, (profile, res.stderr, caught)
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, as a strict parser does."""
+    def refuse(name):
+        raise ValueError(f"non-finite {name} in JSON output")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_vortex_solve_subnormal_cosine_prints_a_finite_verdict(runner, tmp_path):
+    # this coupling once overflowed mid-iteration: two numpy warnings, then
+    # a non-JSON error (JSON) or a residual_sup,inf row (CSV)
+    args = ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0", "--sigma", "2",
+            "--profile", "cosine:3.5e-308:1e-308"]
+    out = tmp_path / "fields.csv"
+    for extra in (["--format", "json"], ["--format", "csv"], ["--dump-fields", str(out)]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, args + extra)
+        assert res.exit_code == 0, (extra, res.output)
+        assert res.stderr == "" and not caught, (extra, res.stderr, caught)
+        if extra[1] == "csv":
+            rows = dict(line.split(",", 1) for line in res.stdout.splitlines())
+            assert rows["status"] == "feasible", rows
+            assert float(rows["residual_sup"]) < 2e-10, rows
+        else:
+            payload = _strict_json(res.stdout)
+            assert payload["status"] == "feasible" and payload["residual_sup"] < 2e-10, payload
+    with open(out) as fh:
+        assert fh.readline() == "x,y,u1,u2,res1,res2\n"
+        values = [float(c) for line in fh for c in line.split(",")]
+    assert len(values) == 6 * 16 * 16 and all(math.isfinite(x) for x in values)
 
 
 def test_vortex_solve_infeasible_exit_and_certificate(runner):
@@ -256,7 +304,8 @@ def test_vortex_solve_rejects_bad_grid_and_profile(runner):
     res = runner.invoke(main, ["vortex-solve", "--n", "32", "--d1", "0", "--d2", "0",
                                "--sigma", "1", "--profile", "cosine:1:2"])
     assert res.exit_code == 2
-    # non-finite numbers and a tolerance <= 0 are input errors, not verdicts
+    # non-finite numbers, a cosine profile whose maximum overflows and a
+    # tolerance <= 0 are input errors, not verdicts
     base = ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0"]
     for args in (
         ["--sigma", "nan", "--profile", "constant:1"],
@@ -265,15 +314,19 @@ def test_vortex_solve_rejects_bad_grid_and_profile(runner):
         ["--sigma", "1", "--profile", "constant:inf"],
         ["--sigma", "1", "--profile", "cosine:nan:0.5"],
         ["--sigma", "1", "--profile", "cosine:1:nan"],
+        ["--sigma", "2", "--profile", "cosine:1e308:9e307"],
         ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "-1"],
         ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "0"],
         ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "nan"],
         ["--sigma", "1", "--profile", "constant:3.141592653589793", "--tol", "inf"],
         ["--sigma", "2", "--profile", "constant:3.141592653589793", "--max-iter", "-7"],
     ):
-        res = runner.invoke(main, base + args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, base + args)
         assert res.exit_code == 2, args
         assert res.stdout == "", args
+        assert not caught, (args, caught)
     # degrees too large for a float are input errors, not an OverflowError;
     # so are curvatures 2*pi*d and 2*pi*sigma that overflow, which once
     # printed a numpy warning and then a non-JSON error
@@ -293,33 +346,26 @@ def test_vortex_solve_rejects_bad_grid_and_profile(runner):
         assert res.exit_code == 2, (d1, d2, sigma)
         assert res.stdout == "" and res.stderr.startswith("error: "), (d1, d2, sigma)
         assert "Warning" not in res.stderr and not caught, (d1, d2, sigma, caught)
-    # a subnormal coupling level puts Newton's start e^{2*c0} past the float
-    # range: an input error, not an overflow warning and a non-JSON verdict
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0",
-                                   "--sigma", "2", "--profile", "constant:1e-308"])
-    assert res.exit_code == 2 and res.stdout == ""
-    assert res.stderr.startswith("error: e^(2*c0)") and len(res.stderr.splitlines()) == 1
-    assert not caught, caught
 
 
-def test_non_finite_output_is_an_error_in_both_formats(runner):
-    # the residual of this solve overflows to inf (its overflow warnings are
-    # a solver fault of their own); no format may print it as a verdict
-    for cmd, sigma in (("vortex-solve", ["--sigma", "2"]), ("vortex-sweep", ["--sigmas", "1,2"])):
-        for fmt in ("json", "csv"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+def test_non_finite_output_is_an_error_in_both_formats(runner, monkeypatch):
+    # a solve that reports a non-finite residual: no format may print it as
+    # a verdict, from either vortex command
+    import triplekit.vortex as vortex
+
+    solve = vortex.solve
+    for bad in (float("inf"), float("nan")):
+        monkeypatch.setattr(vortex, "solve", lambda *args, **kwargs: dataclasses.replace(
+            solve(*args, **kwargs), residual_sup=bad))
+        for cmd, sigma in (("vortex-solve", ["--sigma", "2"]),
+                           ("vortex-sweep", ["--sigmas", "1,2"])):
+            for fmt in ("json", "csv"):
                 res = runner.invoke(main, [cmd, "--n", "16", "--d1", "0", "--d2", "0"] + sigma
-                                    + ["--profile", "cosine:3.5e-308:1e-308", "--format", fmt])
-            assert res.exit_code == 2, (cmd, fmt)
-            assert res.stdout == "", (cmd, fmt)
-            assert res.stderr.startswith("error: "), (cmd, fmt, res.stderr)
-            assert len(res.stderr.splitlines()) == 1, (cmd, fmt, res.stderr)
-            # numpy's overflow warnings reach the caller from both commands
-            assert caught, (cmd, fmt)
-            assert all(issubclass(w.category, RuntimeWarning) for w in caught), caught
+                                    + ["--profile", "constant:1", "--format", fmt])
+                assert res.exit_code == 2, (bad, cmd, fmt)
+                assert res.stdout == "", (bad, cmd, fmt)
+                assert res.stderr.startswith("error: "), (bad, cmd, fmt, res.stderr)
+                assert len(res.stderr.splitlines()) == 1, (bad, cmd, fmt, res.stderr)
 
 
 def test_vortex_sweep_json(runner):

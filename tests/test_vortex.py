@@ -1,5 +1,6 @@
 import csv
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -64,6 +65,8 @@ def test_profile_validation():
         CosineProfile(1.0, -0.1)
     with pytest.raises(ValueError):
         CosineProfile(0.0, 0.0)
+    with pytest.raises(ValueError, match="level \\+ amplitude finite"):
+        CosineProfile(1e308, 9e307)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ConstantProfile(bad)
@@ -403,6 +406,9 @@ def test_solve_zero_profile_branches():
     s = solve(bad)
     assert s.status is SolveStatus.INFEASIBLE
     assert "zero coupling" in s.certificate
+    # with no coupling there is no budget to balance: the pair residual at
+    # v = 0 is -+pi*sigma, with no gauge taken from a zero phi_sq
+    assert residual(bad, s.u1, s.u2).sup == pytest.approx(np.pi, rel=1e-15)
 
 
 def test_solve_band_vanishing_profile():
@@ -531,17 +537,39 @@ def test_solve_rejects_bad_tol_and_budget():
         solve(p, tol="1e-10")
 
 
-def test_solve_rejects_a_start_past_the_float_range():
-    # Newton starts at e^{2*c0} = -a/(2*mean(phi_sq)); unchecked, a subnormal
-    # level overflows exp and the verdict cannot be printed
-    for level in (1e-308, 5e-324):
-        p = build_problem(16, 0, 0, 2.0, ConstantProfile(level))
+def test_solve_a_start_past_the_float_range_in_closed_form():
+    # Newton's start e^{2*c0} = -a/(2*mean(phi_sq)) overflows a float for a
+    # subnormal level, and sigma = 1e300 puts c0 near 346.  It iterates on
+    # w = v - c0 with the coupling phi_sq*e^{2*c0} formed without exp, so a
+    # constant level is solved at its start, v = ln(pi*sigma/level)/2
+    for level, sigma in ((1e-308, 2.0), (5e-324, 2.0), (1e-300, 2.0), (1.0, 1e300)):
+        p = build_problem(16, 0, 0, sigma, ConstantProfile(level))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape("e^(2*c0)")):
-                solve(p)
-    s = solve(build_problem(16, 0, 0, 2.0, ConstantProfile(1e-300)))
-    assert s.status is SolveStatus.FEASIBLE and s.iterations == 0
+            s = solve(p)
+        assert s.status is SolveStatus.FEASIBLE and s.iterations == 0, (level, sigma)
+        assert s.residual_sup == 0.0, (level, sigma, s.residual_sup)
+        v = 0.5 * (math.log(np.pi * sigma) - math.log(level))
+        assert np.abs(s.v - v).max() <= 1e-15 * v, (level, sigma)
+
+
+def test_solve_clears_the_rounding_floor_at_extreme_coupling_scales():
+    # |c0| >> 1: sup|v| is near 230 and 58 here, and with v stored in one
+    # double inside Newton these once ended indeterminate after 200 steps.
+    # The pair residual recomputed at the stored v = c0 + w stays below the
+    # rounding bound eps*(max|mult|*sup|v| + |a| + sup 2*phi_sq*e^{2v}) of G
+    for n, level in ((64, 1e200), (256, 1e-50)):
+        p = build_problem(n, 0, 0, 2.0, CosineProfile(level, 0.9 * level))
+        s = solve(p)
+        assert s.feasible and s.iterations <= 10, (n, level, s.iterations)
+        assert s.residual_sup < 2e-10, (n, level, s.residual_sup)
+        rep = residual(p, s.u1, s.u2)
+        a = TWO_PI * (p.d1 - p.d2 - p.sigma)
+        coupling = 2.0 * np.exp(np.log(p.phi_sq) + 2.0 * s.v)
+        bound = np.finfo(float).eps * (
+            8.0 * np.pi**2 * (n // 2) ** 2 * np.abs(s.v).max() + abs(a) + coupling.max()
+        )
+        assert rep.sup < bound, (n, level, rep.sup, bound)
 
 
 def test_write_fields_csv(tmp_path):
