@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from triplekit import (
+    SolveStatus,
     SubtripleInvariants,
     TorusGrid,
     TripleInvariants,
@@ -112,3 +113,73 @@ def smooth_field(n: int, kmax: int, amp: float, rng: np.random.Generator) -> np.
     k = np.fft.fftfreq(n, d=1.0 / n)
     mask = (np.abs(k[:, None]) <= kmax) & (np.abs(k[None, :]) <= kmax)
     return np.fft.ifft2(np.fft.fft2(f) * mask).real
+
+
+def _spectral(n: int):
+    """4*pi^2*|k|^2 on the full n-by-n spectrum, and the Laplacian it gives
+    through numpy.fft, independent of the grid's real-FFT operator."""
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k2 = 4.0 * np.pi**2 * (k[:, None] ** 2 + k[None, :] ** 2)
+    return k2, lambda f: np.fft.ifft2(-k2 * np.fft.fft2(f - f.mean())).real
+
+
+def energy(p, v: np.ndarray) -> float:
+    """E(v) = mean(v*(-lap v))/2 + a*mean(v) + mean(phi_sq*e^{2v}), whose
+    gradient is minus the reduced residual G(v) = lap(v) - a - 2*phi_sq*e^{2v},
+    with a = 2*pi*(d1 - d2 - sigma)."""
+    _, lap = _spectral(p.grid.n)
+    w = v - v.mean()
+    a = TWO_PI * (p.d1 - p.d2 - p.sigma)
+    return 0.5 * np.mean(w * -lap(w)) + a * np.mean(v) + np.mean(p.phi_sq * np.exp(2.0 * v))
+
+
+def descent_witness(p, tol: float = 1e-10, max_steps: int = 200):
+    """Decide G(v) = 0 by descent on E alone, from v = 0, at any sigma.
+
+    A witness that shares no code with triplekit's solver: each step divides
+    G by the symbol 4*pi^2*|k|^2 + mean(4*phi_sq*e^{2v}) and backtracks on E
+    until the Armijo condition holds.  Below the threshold E is unbounded
+    below (a > 0) or tends to its unattained infimum 0 (a = 0), so the
+    iterates drift toward v = -infinity and sup|G| can dip under 2*tol on
+    the way; a verdict of feasible therefore also needs the last step to be
+    tiny.  Returns (status, certificate, v): FEASIBLE with no certificate, or
+    INDETERMINATE with one naming why the descent stopped, how far E fell,
+    mean(v) at the start and at the end, and the step count.
+    """
+    k2, lap = _spectral(p.grid.n)
+    a = TWO_PI * (p.d1 - p.d2 - p.sigma)
+    v = np.zeros(p.grid.shape)
+    last_step = 0.0
+    reason = "budget spent"
+    with np.errstate(all="ignore"):
+        for steps in range(max_steps + 1):
+            coupling = p.phi_sq * np.exp(2.0 * v)
+            G = lap(v) - a - 2.0 * coupling
+            if np.abs(G).max() < 2.0 * tol and last_step <= 1e-6 * (1.0 + np.abs(v).max()):
+                return SolveStatus.FEASIBLE, None, v
+            if steps == max_steps:
+                break
+            d = np.fft.ifft2(np.fft.fft2(G) / (k2 + 4.0 * coupling.mean())).real
+            if not np.isfinite(d).all():
+                reason = "non-finite direction"
+                break
+            # E(v + alpha*d) - E(v), expanded so that no two nearly equal
+            # energies are subtracted near the solution
+            slope, curvature = np.mean(G * d), np.mean(d * -lap(d))
+            alpha = 1.0
+            for _ in range(30):
+                t = 2.0 * alpha * d
+                change = alpha * (0.5 * alpha * curvature - slope) + np.mean(
+                    coupling * (np.expm1(t) - t))
+                if change <= -1e-4 * alpha * slope:
+                    break
+                alpha *= 0.5
+            else:
+                reason = "no Armijo decrease"
+                break
+            v = v + alpha * d
+            last_step = alpha * np.abs(d).max()
+        fall = energy(p, np.zeros(p.grid.shape)) - energy(p, v)
+    return SolveStatus.INDETERMINATE, (
+        f"{reason}: E fell by {fall:.6g}, mean(v) went from 0 to {v.mean():.6g} "
+        f"in {steps} steps"), v

@@ -399,13 +399,13 @@ def test_vortex_sweep_warning_exits_one(runner):
 
 
 def test_vortex_sweep_zero_coupling_exits_zero(runner):
-    # lap(v) = a is solvable only at a = 0: that column is the exact
-    # answer, not a sweep warning
+    # lap(v) = a is solvable only at a = 0, not at a tiny a != 0 either:
+    # that column is the exact answer, not a sweep warning
     res = runner.invoke(main, ["vortex-sweep", "--n", "16", "--d1", "0", "--d2", "0",
-                               "--sigmas", "-1,0,1", "--profile", "zero"])
+                               "--sigmas", "-1,0,1e-13,1", "--profile", "zero"])
     assert res.exit_code == 0
     rows = json.loads(res.stdout)
-    assert [r["status"] for r in rows] == ["infeasible", "feasible", "infeasible"]
+    assert [r["status"] for r in rows] == ["infeasible", "feasible", "infeasible", "infeasible"]
     assert res.stderr == ""
 
 
