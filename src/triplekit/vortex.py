@@ -256,8 +256,7 @@ def residual(p: VortexProblem, u1: np.ndarray, u2: np.ndarray) -> ResidualReport
         raise ValueError(
             f"field shapes {u1.shape}, {u2.shape} do not match grid {p.grid.shape}"
         )
-    c0, psi = _gauge(p, _forcing(p))
-    coupling = psi * np.exp(2.0 * ((u1 - u2) - c0))
+    coupling = _coupling(*_gauge(p, _forcing(p)), u1 - u2)
     res1 = TWO_PI * p.d1 - p.grid.laplacian(u1) + coupling - TWO_PI * p.tau
     res2 = TWO_PI * p.d2 - p.grid.laplacian(u2) - coupling - TWO_PI * p.tau_prime
     return ResidualReport(res1, res2, *_norms(res1, res2))
@@ -284,7 +283,7 @@ class VortexSolution:
     v = u1 - u2 is the field the solver solves for; the pair u1 = v/2,
     u2 = -v/2 and feasible (status is FEASIBLE) are derived from it.
     residual_sup and residual_l2 are the norms of the pair residuals
-    -G/2 and +G/2 that Newton gated on.  Infeasible comes only from a
+    -G/2 and +G/2 at v, where Newton gated.  Infeasible comes only from a
     proof, zero coupling or the integral obstruction, which certificate names.
     Indeterminate means Newton stopped short of the gate above the
     threshold, and certificate says why it stopped and how far E fell.
@@ -319,8 +318,7 @@ def _newton_direction(
     symmetric positive definite; the preconditioner inverts -lap + mean(diag)
     spectrally, dividing the rfft2 half spectrum by its symbol.  The loop
     runs on the n-by-n fields, from delta = 0, until |r| < 1e-10 |G| or 400
-    iterations.  It returns None for a non-finite direction, which solves
-    of profiles that vanish on most of the torus reach at gaps of 1e3-1e5.
+    iterations.  It returns None for a non-finite direction.
     """
     dbar = float(diag.mean())
     symbol = dbar - _half_multiplier(grid.n)
@@ -411,15 +409,21 @@ def _gauge(p: VortexProblem, a: float) -> Tuple[float, np.ndarray]:
     the integral budget; otherwise the gauge is (0, phi_sq), in which
     residual() evaluates its defect at a >= 0, where solve runs no Newton.
     psi is built from rho = phi_sq/max(phi_sq) and c0 from logs, so no
-    coupling scale overflows them; rho is summed exactly, so constant phi_sq
-    gives psi = -a/2.
+    coupling scale overflows them.  A constant phi_sq gives rho = 1, whose
+    pairwise sum is exact, so psi = -a/2 exactly.
     """
     top = float(p.phi_sq.max())
     if a >= 0 or top == 0.0:
         return 0.0, p.phi_sq
     rho = p.phi_sq / top
-    scale = -0.5 * a / (math.fsum(rho.ravel()) / rho.size)
+    scale = -0.5 * a / float(rho.mean())
     return 0.5 * (math.log(scale) - math.log(top)), scale * rho
+
+
+def _coupling(c0: float, psi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """phi_sq*e^{2v} as psi*e^{2(v - c0)}, exponentiated only where psi > 0,
+    so a vanishing coupling stays 0 however large v grows (never 0*inf)."""
+    return psi * np.exp(2.0 * (v - c0), out=np.zeros_like(psi), where=psi > 0)
 
 
 def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
@@ -430,40 +434,34 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     Hessian -lap + 4*phi_sq*e^{2v} _newton_direction inverts; each step
     backtracks on E until the Armijo condition holds.  solve calls it only
     for a < 0, where E is strictly convex and coercive, so this converges
-    from any start (Boyd-Vandenberghe 2004, 9.5).  It iterates on w = v - c0
-    from w = 0 with the coupling psi*e^{2w} of _gauge, where c0 balances the
-    integral budget (the exact solution for a constant phi_sq), and G is
-    measured before v = c0 + w is rounded.
+    from any start (Boyd-Vandenberghe 2004, 9.5).  It starts from the
+    constant c0 of _gauge, which balances the integral budget (the exact
+    solution for a constant phi_sq), and gates on G at the v it returns.
 
-    The convergence target is sup|G| < 2*tol.  Convergence also requires
-    the last applied step to be tiny: sup|G| on (c0, w) can pass just under
-    2*tol right after a step of order 1e-6, with G at the rounded v still
-    over it (on one n=256 cosine solve, 1.99e-10 on (c0, w) and 2.1e-10 by
-    a full-spectrum Laplacian at v); one more step takes both to 7.5e-11
-    or below.  Any other stop is indeterminate, with a
-    certificate naming the reason and reporting the fall in E, mean(v) at
-    the start and at the end, and the step count.
+    The gate is sup|G| < tol, or sup|G| < 2*tol once the last step is below
+    1e-9*(1 + sup|v|): a step that small only corrects the rounding of v,
+    so the upper half of the gate waits for that floor.  Any other stop is
+    indeterminate, with a certificate naming the reason and reporting the
+    fall in E, mean(v) at the start and at the end, and the step count.
     """
     grid = p.grid
     a = _forcing(p)
     c0, psi = _gauge(p, a)
 
-    def state(w):
-        coupling = psi * np.exp(2.0 * w)
-        return coupling, grid.laplacian(w) - a - 2.0 * coupling
+    def state(v):
+        coupling = _coupling(c0, psi, v)
+        return coupling, grid.laplacian(v) - a - 2.0 * coupling
 
-    w = np.zeros(grid.shape)
-    coupling, G = state(w)
-    last_step: Optional[float] = None
+    v = np.full(grid.shape, c0)
+    coupling, G = state(v)
+    last_step = math.inf
     fall = 0.0
     reason = "budget spent"
 
     # the gate is tested at each of the max_iter + 1 iterates, the start too
     for iterations in range(max_iter + 1):
         gsup = float(np.abs(G).max())
-        v = c0 + w
-        vsup = float(np.abs(v).max())
-        if gsup < 2.0 * tol and (last_step is None or last_step <= 1e-6 * (1.0 + vsup)):
+        if gsup < tol or (gsup < 2.0 * tol and last_step <= 1e-9 * (1.0 + np.abs(v).max())):
             return VortexSolution(v, *_norms(-0.5 * G, 0.5 * G), iterations, SolveStatus.FEASIBLE)
         if iterations == max_iter:
             break
@@ -490,8 +488,8 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
             else:
                 reason = "no Armijo decrease"
                 break
-        w = w + alpha * delta
-        coupling, G = state(w)
+        v = v + alpha * delta
+        coupling, G = state(v)
         last_step = alpha * float(np.abs(delta).max())
         fall -= change
 
@@ -512,8 +510,7 @@ def integral_identity_check(p: VortexProblem, s: VortexSolution) -> float:
         raise ConstraintViolationError(
             "integral identity is only meaningful for a feasible solution"
         )
-    c0, psi = _gauge(p, _forcing(p))
-    quad = float(np.mean(2.0 * psi * np.exp(2.0 * (s.v - c0))))
+    quad = float(np.mean(2.0 * _coupling(*_gauge(p, _forcing(p)), s.v)))
     return abs(quad - TWO_PI * (p.sigma - (p.d1 - p.d2)))
 
 
