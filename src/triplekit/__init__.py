@@ -100,7 +100,6 @@ __all__ = [
     "VortexSolution",
     "ZeroProfile",
     "build_problem",
-    "integral_identity_check",
     "residual",
     "solve",
     "summary_json",

@@ -14,7 +14,6 @@ parameter, infeasible or indeterminate solve, sweep with indeterminate rows);
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import re
@@ -387,7 +386,8 @@ def vortex_sweep(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SweepWarning)
         rows = sweep_sigma(n, d1, d2, profile, sigmas, tol=tol, max_iter=max_iter)
-    _emit([dict(dataclasses.asdict(r), status=r.status.value) for r in rows], fmt)
+    _emit([{"sigma": r.sigma, "feasible": r.feasible, "residual_sup": r.residual_sup,
+            "iterations": r.iterations, "status": r.status.value} for r in rows], fmt)
     if any(r.status is SolveStatus.INDETERMINATE for r in rows):
         print("warning: sweep contains indeterminate verdicts", file=sys.stderr)
         sys.exit(1)

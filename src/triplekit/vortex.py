@@ -50,7 +50,8 @@ from .invariants import ConstraintViolationError
 
 TWO_PI = 2.0 * np.pi
 
-# trace condition |tau + tau' - (d1+d2)| below this is treated as exact
+# trace condition |tau + tau' - (d1+d2)| below this, plus the rounding of
+# tau and tau', is treated as exact
 TRACE_TOL = 1e-12
 
 
@@ -195,8 +196,13 @@ class VortexProblem:
         # adding the two equations leaves lap(u1 + u2) = 2*pi*(tau + tau_prime
         # - d1 - d2), solvable on the torus only when the constant vanishes;
         # then u1 + u2 is constant (gauged to zero) and v = u1 - u2 carries
-        # everything.  Written so that a NaN defect fails it.
-        if not abs((self.tau + self.tau_prime) - (self.d1 + self.d2)) < TRACE_TOL:
+        # everything.  build_problem halves d1 + d2 +- sigma exactly, but the
+        # two sums and tau + tau_prime here each round by eps/2 of their size,
+        # so a valid pair misses d1 + d2 by up to 2*eps*max(|tau|, |tau_prime|),
+        # which exceeds d1 + d2 itself once |sigma| passes about 1e16.
+        # Written so that a NaN defect fails it.
+        slack = TRACE_TOL + 2.0 * np.finfo(float).eps * max(abs(self.tau), abs(self.tau_prime))
+        if not abs((self.tau + self.tau_prime) - (self.d1 + self.d2)) < slack:
             raise ConstraintViolationError(
                 f"trace condition violated: tau + tau_prime = {self.tau + self.tau_prime!r} "
                 f"but d1 + d2 = {self.d1 + self.d2}"
@@ -259,15 +265,11 @@ def residual(p: VortexProblem, u1: np.ndarray, u2: np.ndarray) -> ResidualReport
     coupling = _coupling(*_gauge(p, _forcing(p)), u1 - u2)
     res1 = TWO_PI * p.d1 - p.grid.laplacian(u1) + coupling - TWO_PI * p.tau
     res2 = TWO_PI * p.d2 - p.grid.laplacian(u2) - coupling - TWO_PI * p.tau_prime
-    return ResidualReport(res1, res2, *_norms(res1, res2))
-
-
-def _norms(res1: np.ndarray, res2: np.ndarray) -> Tuple[float, float]:
-    """(sup, l2) of a residual pair, the norms every verdict reports."""
     sup = float(max(np.abs(res1).max(), np.abs(res2).max()))
     # scaled by sup before squaring, so defects near 1e200 do not overflow
     scale = sup if 0.0 < sup < np.inf else 1.0
-    return sup, scale * float(np.sqrt(np.mean((res1 / scale) ** 2 + (res2 / scale) ** 2)))
+    l2 = scale * float(np.sqrt(np.mean((res1 / scale) ** 2 + (res2 / scale) ** 2)))
+    return ResidualReport(res1, res2, sup, l2)
 
 
 class SolveStatus(str, Enum):
@@ -282,16 +284,16 @@ class VortexSolution:
 
     v = u1 - u2 is the field the solver solves for; the pair u1 = v/2,
     u2 = -v/2 and feasible (status is FEASIBLE) are derived from it.
-    residual_sup and residual_l2 are the norms of the pair residuals
-    -G/2 and +G/2 at v, where Newton gated.  Infeasible comes only from a
-    proof, zero coupling or the integral obstruction, which certificate names.
+    residual_sup is sup|G|/2, the sup norm of the pair residuals -G/2 and
+    +G/2 at v, where Newton gated; residual(p, u1, u2) gives the fields
+    and their l2 norm.  Infeasible comes only from a proof, zero coupling
+    or the integral obstruction, which certificate names.
     Indeterminate means Newton stopped short of the gate above the
     threshold, and certificate says why it stopped and how far E fell.
     """
 
     v: np.ndarray
     residual_sup: float
-    residual_l2: float
     iterations: int
     status: SolveStatus
     certificate: Optional[str] = None
@@ -398,8 +400,8 @@ def _obstruction(p: VortexProblem, a: float) -> Optional[VortexSolution]:
     else:
         return None
     # lap(0) = 0, so at v = 0 the pair residuals are +-(a/2 + phi_sq) in closed form
-    res = 0.5 * a + p.phi_sq
-    return VortexSolution(np.zeros(p.grid.shape), *_norms(res, -res), 0, status, certificate)
+    sup = float(np.abs(0.5 * a + p.phi_sq).max())
+    return VortexSolution(np.zeros(p.grid.shape), sup, 0, status, certificate)
 
 
 def _gauge(p: VortexProblem, a: float) -> Tuple[float, np.ndarray]:
@@ -462,7 +464,7 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     for iterations in range(max_iter + 1):
         gsup = float(np.abs(G).max())
         if gsup < tol or (gsup < 2.0 * tol and last_step <= 1e-9 * (1.0 + np.abs(v).max())):
-            return VortexSolution(v, *_norms(-0.5 * G, 0.5 * G), iterations, SolveStatus.FEASIBLE)
+            return VortexSolution(v, 0.5 * gsup, iterations, SolveStatus.FEASIBLE)
         if iterations == max_iter:
             break
 
@@ -495,32 +497,19 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
 
     certificate = (f"{reason}: E fell by {fall:.6g}, mean(v) went from {c0:.6g} "
                    f"to {float(v.mean()):.6g} in {iterations} steps")
-    return VortexSolution(v, *_norms(-0.5 * G, 0.5 * G), iterations,
-                          SolveStatus.INDETERMINATE, certificate)
-
-
-def integral_identity_check(p: VortexProblem, s: VortexSolution) -> float:
-    """Defect of the integrated reduced equation at a feasible solution.
-
-    Integrating lap(v) = 2*pi*(d1-d2-sigma) + 2*phi_sq*e^{2v} kills the
-    left side, so quadrature(2*phi_sq*e^{2v}) must equal
-    2*pi*(sigma - (d1-d2)); returns the absolute defect.
-    """
-    if not s.feasible:
-        raise ConstraintViolationError(
-            "integral identity is only meaningful for a feasible solution"
-        )
-    quad = float(np.mean(2.0 * _coupling(*_gauge(p, _forcing(p)), s.v)))
-    return abs(quad - TWO_PI * (p.sigma - (p.d1 - p.d2)))
+    return VortexSolution(v, 0.5 * gsup, iterations, SolveStatus.INDETERMINATE, certificate)
 
 
 @dataclass(frozen=True)
 class SweepRow:
     sigma: float
-    feasible: bool
     residual_sup: float
     iterations: int
     status: SolveStatus
+
+    @property
+    def feasible(self) -> bool:
+        return self.status is SolveStatus.FEASIBLE
 
 
 def sweep_sigma(
@@ -534,12 +523,14 @@ def sweep_sigma(
 ) -> List[SweepRow]:
     """One solve per sigma, ascending.
 
-    With a nonzero coupling the feasibility column is monotone by
-    construction: a = 2*pi*(d1 - d2) - 2*pi*sigma does not increase with
-    sigma, the integral obstruction says infeasible exactly when a >= 0,
-    and Newton says only feasible or indeterminate.  With a zero coupling
-    only sigma = d1 - d2 is feasible.  Indeterminate solves are reported
-    as a warning, never an exception: the table itself is the result.
+    Each row keeps the solve's residual_sup, iterations and status, and
+    reads feasible off status.  With a nonzero coupling the feasibility
+    column is monotone by construction: a = 2*pi*(d1 - d2) - 2*pi*sigma
+    does not increase with sigma, the integral obstruction says infeasible
+    exactly when a >= 0, and Newton says only feasible or indeterminate.
+    With a zero coupling only sigma = d1 - d2 is feasible.  Indeterminate
+    solves are reported as a warning, never an exception: the table itself
+    is the result.
     """
     sig = [float(s) for s in sigmas]
     if not all(math.isfinite(s) for s in sig):
@@ -549,15 +540,7 @@ def sweep_sigma(
     rows: List[SweepRow] = []
     for s in sig:
         sol = solve(build_problem(n, d1, d2, s, phi_profile), tol=tol, max_iter=max_iter)
-        rows.append(
-            SweepRow(
-                sigma=s,
-                feasible=sol.feasible,
-                residual_sup=sol.residual_sup,
-                iterations=sol.iterations,
-                status=sol.status,
-            )
-        )
+        rows.append(SweepRow(s, sol.residual_sup, sol.iterations, sol.status))
     if any(r.status is SolveStatus.INDETERMINATE for r in rows):
         warnings.warn(
             "sweep contains indeterminate verdicts",

@@ -133,6 +133,23 @@ def energy(p, v: np.ndarray) -> float:
     return 0.5 * np.mean(w * -lap(w)) + a * np.mean(v) + np.mean(p.phi_sq * np.exp(2.0 * v))
 
 
+def identity_defect(p, v: np.ndarray) -> float:
+    """|mean(2*phi_sq*e^{2v}) - 2*pi*(sigma - (d1 - d2))|, the defect of the
+    reduced equation integrated over the torus, formed apart from the solver.
+
+    The mean is taken in long double over e^{L - m}, L = log(phi_sq) + 2v
+    and m the largest L, then multiplied by e^m, so no coupling scale
+    overflows or flushes to zero on the way; cells where phi_sq vanishes
+    give L = -inf and add nothing.
+    """
+    with np.errstate(divide="ignore"):
+        logs = np.log(p.phi_sq.astype(np.longdouble)) + 2 * v.astype(np.longdouble)
+    top = logs.max()
+    mass = 2 * np.exp(top) * np.mean(np.exp(logs - top))
+    budget = 2 * np.longdouble(np.pi) * (np.longdouble(p.sigma) - (p.d1 - p.d2))
+    return float(abs(mass - budget))
+
+
 def descent_witness(p, tol: float = 1e-10, max_steps: int = 200):
     """Decide G(v) = 0 by descent on E alone, from v = 0, at any sigma.
 

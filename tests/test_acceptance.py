@@ -26,7 +26,6 @@ from triplekit import (
     dual_parameter,
     dual_subtriple,
     enumerate_walls,
-    integral_identity_check,
     kernel_image_identity,
     moduli_dimension,
     mu_sigma,
@@ -39,6 +38,7 @@ from triplekit.vortex import TWO_PI
 from conftest import (
     brute_force_walls,
     descent_witness,
+    identity_defect,
     random_dualizable_subtriple,
     random_positive_sigma,
     random_proper_subtriple,
@@ -176,7 +176,7 @@ def test_criterion_7_threshold_at_desk_scale():
             s = solve(p)
             assert s.feasible, f"expected feasible at sigma={dd + off}, d=({d1},{d2})"
             assert s.residual_sup < 1e-10
-            defect = integral_identity_check(p, s)
+            defect = identity_defect(p, s.v)
             assert defect < 1e-8
             worst_res = max(worst_res, s.residual_sup)
             worst_defect = max(worst_defect, defect)

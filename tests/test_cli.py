@@ -206,13 +206,14 @@ def test_vortex_solve_feasible(runner):
         assert json.loads(res.stdout)["status"] == "feasible", profile
         assert res.stderr == "" and not caught, (profile, res.stderr, caught)
     # Newton's start e^{2*c0} overflows a float for the first two (they were
-    # once rejected as input errors) and sits near e^692 for the third; each
-    # constant level is solved at its start
-    for sigma, profile in (("2", "constant:1e-308"), ("2", "constant:5e-324"),
-                           ("1e300", "constant:1")):
+    # once rejected as input errors) and sits near e^692 for the third; the
+    # fourth's tau and tau_prime round d1 + d2 = 1 away, which was once a
+    # trace-condition input error; each constant level is solved at its start
+    for d1, sigma, profile in (("0", "2", "constant:1e-308"), ("0", "2", "constant:5e-324"),
+                               ("0", "1e300", "constant:1"), ("1", "1e17", "constant:1")):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0",
+            res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", d1, "--d2", "0",
                                        "--sigma", sigma, "--profile", profile])
         assert res.exit_code == 0, (profile, res.output)
         payload = _strict_json(res.stdout)
@@ -254,8 +255,10 @@ def test_vortex_solve_subnormal_cosine_prints_a_finite_verdict(runner, tmp_path)
 
 
 def test_vortex_solve_infeasible_exit_and_certificate(runner):
-    # the last two sit on the threshold sigma = d1 - d2, where Newton once
-    # ended indeterminate (constant) or with a false "feasible" (cosine)
+    # the middle two sit on the threshold sigma = d1 - d2, where Newton once
+    # ended indeterminate (constant) or with a false "feasible" (cosine); the
+    # last was once a trace-condition input error, as tau and tau_prime
+    # round d1 + d2 away
     for args in (
         ["--n", "32", "--d1", "0", "--d2", "0", "--sigma", "-0.5",
          "--profile", "constant:3.141592653589793"],
@@ -263,6 +266,7 @@ def test_vortex_solve_infeasible_exit_and_certificate(runner):
         ["--n", "16", "--d1", "0", "--d2", "0", "--sigma", "-1e-3", "--profile", "constant:1"],
         ["--n", "16", "--d1", "0", "--d2", "-1", "--sigma", "1",
          "--profile", "cosine:2.058489233079848:0.9068762438404571"],
+        ["--n", "16", "--d1", "1", "--d2", "0", "--sigma", "-1e17", "--profile", "constant:1"],
     ):
         res = runner.invoke(main, ["vortex-solve"] + args)
         assert res.exit_code == 1, args
@@ -375,7 +379,7 @@ def test_vortex_sweep_json(runner):
     rows = json.loads(res.stdout)
     assert [r["feasible"] for r in rows] == [False, True]
     assert [r["sigma"] for r in rows] == [-0.5, 0.5]
-    assert {"sigma", "feasible", "residual_sup", "iterations", "status"} == set(rows[0])
+    assert list(rows[0]) == ["sigma", "feasible", "residual_sup", "iterations", "status"]
 
 
 def test_vortex_sweep_csv(runner):

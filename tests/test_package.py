@@ -25,3 +25,18 @@ def test_export_list_resolves():
     src = os.path.dirname(os.path.dirname(triplekit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_restated_numeric_names_are_gone():
+    # each of these only restated another name: integral_identity_check the
+    # |mean(G)| that the gate's sup|G| bounds, residual_l2 the l2 norm that
+    # residual() reports, SweepRow.feasible the row's status
+    import dataclasses
+
+    from triplekit import vortex
+
+    assert "integral_identity_check" not in triplekit.__all__
+    assert not hasattr(triplekit, "integral_identity_check")
+    assert not hasattr(vortex, "integral_identity_check")
+    assert "residual_l2" not in {f.name for f in dataclasses.fields(vortex.VortexSolution)}
+    assert "feasible" not in {f.name for f in dataclasses.fields(vortex.SweepRow)}
