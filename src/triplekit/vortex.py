@@ -317,10 +317,18 @@ def _newton_direction(
     """Solve (-lap + diag) delta = G by preconditioned CG.
 
     diag = 4*phi_sq*e^{2v} >= 0 with positive mean, so the operator is
-    symmetric positive definite; the preconditioner inverts -lap + mean(diag)
-    spectrally, dividing the rfft2 half spectrum by its symbol.  The loop
-    runs on the n-by-n fields, from delta = 0, until |r| < 1e-10 |G| or 400
-    iterations.  It returns None for a non-finite direction.
+    symmetric positive definite; the preconditioner M = -lap + mean(diag)
+    is inverted spectrally, dividing the rfft2 half spectrum by its symbol.
+    The operator is M + (diag - mean(diag)), so its product with the search
+    direction p needs no Laplacian (Eisenstat, SIAM J. Sci. Stat. Comput.
+    2 (1981) 1): p <- z + beta*p with M*z = r, hence s = M*p follows
+    s <- r + beta*s, and q = s + (diag - mean(diag))*p.  Each iteration
+    then costs two transforms, the rfft2/irfft2 pair of the preconditioner
+    solve.  s carries rounding the way the recursive residual r does;
+    Newton gates on a G it computes afresh, so no verdict rests on either.
+    The loop runs on the n-by-n fields, from delta = 0, until
+    |r| < 1e-10 |G| or 400 iterations.  It returns None for a non-finite
+    direction.
     """
     dbar = float(diag.mean())
     symbol = dbar - _half_multiplier(grid.n)
@@ -330,19 +338,23 @@ def _newton_direction(
         if g_norm == 0:
             return x
         stop = 1e-10 * float(g_norm)
+        shift = diag - dbar
         r = G.copy()
+        p, s = np.zeros_like(G), np.zeros_like(G)
         rho_prev = None
         for _ in range(400):
             if np.linalg.norm(r) < stop:
                 break
             z = np.fft.irfft2(np.fft.rfft2(r) / symbol, s=grid.shape)
             rho = np.dot(r.ravel(), z.ravel())
-            if rho_prev is None:
-                p = z.copy()
-            else:
-                p *= rho / rho_prev
-                p += z
-            q = -grid.laplacian(p) + diag * p
+            beta = 0.0 if rho_prev is None else rho / rho_prev
+            p *= beta
+            p += z
+            s *= beta
+            s += r
+            # z is spent, and its buffer takes q
+            q = np.multiply(shift, p, out=z)
+            q += s
             alpha = rho / np.dot(p.ravel(), q.ravel())
             x += alpha * p
             r -= alpha * q

@@ -672,6 +672,20 @@ def test_summary_json_key_set():
     assert d["sigma"] == 2.0 and d["d1"] == 1 and d["feasible"] is True
 
 
+def _direction_diags(grid):
+    """The operator diagonals the direction tests run on: decaying over
+    eight decades, zero on half the torus (alone and scaled by 1e4, where
+    the operator is dominated by its diagonal) and a positive cosine."""
+    x, y = grid.coords()
+    decaying = np.logspace(-8.0, 0.0, grid.n * grid.n).reshape(grid.shape)
+    # zero where the coupling vanishes; a positive mean keeps the operator
+    # definite on the constants
+    vanishing = np.where(x < 0.5, 0.0, 1.0)
+    cosine = 4.0 * (1.0 + 0.9 * np.cos(TWO_PI * x) * np.cos(TWO_PI * y))
+    return {"decaying": decaying, "vanishing": vanishing,
+            "vanishing*1e4": 1e4 * vanishing, "cosine": cosine}
+
+
 def _dense_operator(grid, diag):
     """Column-by-column matrix of delta -> -lap(delta) + diag*delta."""
     n = grid.n
@@ -689,21 +703,70 @@ def test_newton_direction_matches_dense_solve():
     rng = np.random.default_rng(31)
     for n in (16, 32):
         grid = TorusGrid(n)
-        x, _ = grid.coords()
-        decaying = np.logspace(-8.0, 0.0, n * n).reshape(grid.shape)
-        # zero on half the torus, as where the coupling vanishes; a positive
-        # mean keeps the operator definite on the constants
-        vanishing = np.where(x < 0.5, 0.0, 1.0)
-        for diag in (decaying, vanishing):
+        diags = _direction_diags(grid)
+        for name, diag in diags.items():
             A = _dense_operator(grid, diag)
             for _ in range(3):
                 G = rng.standard_normal(grid.shape)
                 ref = np.linalg.solve(A, G.ravel()).reshape(grid.shape)
                 got = _newton_direction(grid, diag, G)
                 rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
-                assert rel < 1e-8, (n, rel)
+                assert rel < 1e-8, (n, name, rel)
         zero = np.zeros(grid.shape)
-        assert np.all(_newton_direction(grid, decaying, zero) == 0.0)
+        assert np.all(_newton_direction(grid, diags["decaying"], zero) == 0.0)
+
+
+def test_newton_direction_makes_one_transform_pair_per_cg_iteration(monkeypatch):
+    # the operator product comes from the preconditioner's recurrence, so
+    # the preconditioner solve is the only rfft2/irfft2 pair of an
+    # iteration and the Laplacian is never called; each iteration forms
+    # two inner products (r.z and p.q), which gives the iteration count
+    def refuse(*args, **kwargs):
+        raise AssertionError("refused call")
+
+    counts = dict.fromkeys(("rfft2", "irfft2", "dot"), 0)
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.fft, "rfft2")
+    counted(np.fft, "irfft2")
+    counted(np, "dot")
+    monkeypatch.setattr(TorusGrid, "laplacian", refuse)
+    grid = TorusGrid(32)
+    rng = np.random.default_rng(17)
+    # a constant diagonal is the preconditioner itself: one iteration
+    cases = dict(_direction_diags(grid), constant=np.full(grid.shape, 2.0))
+    for name, diag in cases.items():
+        for key in counts:
+            counts[key] = 0
+        delta = _newton_direction(grid, diag, rng.standard_normal(grid.shape))
+        assert delta is not None and np.isfinite(delta).all(), name
+        iterations = counts["dot"] // 2
+        assert counts["dot"] == 2 * iterations and iterations >= 1, (name, counts)
+        assert counts["rfft2"] == counts["irfft2"] == iterations, (name, counts)
+        if name == "constant":
+            assert iterations == 1, counts
+
+
+def test_newton_direction_true_residual_at_large_n():
+    # the true residual, recomputed with the grid's own Laplacian, and not
+    # the recursive one CG stops on: rounding that drifts in the tracked
+    # product M*p would show here, at sizes the dense test cannot reach
+    rng = np.random.default_rng(29)
+    for n in (64, 128):
+        grid = TorusGrid(n)
+        for name, diag in _direction_diags(grid).items():
+            G = rng.standard_normal(grid.shape)
+            delta = _newton_direction(grid, diag, G)
+            defect = G - (-grid.laplacian(delta) + diag * delta)
+            rel = np.linalg.norm(defect) / np.linalg.norm(G)
+            assert rel < 1e-9, (n, name, rel)
 
 
 def test_spectral_layer_runs_on_the_real_fft(monkeypatch):
