@@ -69,6 +69,51 @@ def _half_multiplier(n: int) -> np.ndarray:
     return mult
 
 
+@lru_cache(maxsize=16)
+def _ring(n: int) -> np.ndarray:
+    """max(|kx|, |ky|) on the (n, n//2 + 1) half spectrum of rfft2."""
+    kx = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    ky = np.fft.rfftfreq(n, d=1.0 / n)
+    ring = np.maximum(kx[:, None], ky[None, :])
+    ring.setflags(write=False)
+    return ring
+
+
+def _amplitudes(f: np.ndarray) -> np.ndarray:
+    """|f_k| of a square field's Fourier coefficients, on the rfft2 half
+    spectrum, normalized so that f = sum_k f_k e^{2 pi i k.x}."""
+    return np.abs(np.fft.rfft2(f)) / f.size
+
+
+def _tail(amp: np.ndarray, m: int) -> float:
+    """4*pi^2*(m/2)^2 * max|f_k| over the modes with max(|kx|, |ky|) >= m/2 - 1.
+
+    This bounds what the outer shell of an m-by-m grid, and every mode past
+    it, contributes to lap(f), so to G: below tol, the grid of size m
+    resolves f to the gate.  amp is _amplitudes(f) on any grid of size >= m.
+    """
+    return 4.0 * np.pi**2 * (m // 2) ** 2 * float(amp[_ring(amp.shape[0]) >= m // 2 - 1].max())
+
+
+def _pad(f: np.ndarray, n: int) -> np.ndarray:
+    """The band-limited interpolant on the n-by-n grid of an m-by-m field.
+
+    The rfft2 spectrum is zero-padded (Trefethen, Spectral Methods in
+    MATLAB, 2000, ch. 3).  The coarse Nyquist row and column stand for the
+    modes +-m/2 at once, so each is split half and half between them: the
+    padded field is real and equals f at the shared nodes.
+    """
+    m = f.shape[0]
+    h = m // 2
+    spec = np.fft.rfft2(f) * (n // m) ** 2
+    spec[h] *= 0.5
+    spec[:, h] *= 0.5
+    out = np.zeros((n, n // 2 + 1), dtype=spec.dtype)
+    out[:h + 1, :h + 1] = spec[:h + 1]
+    out[n - h:, :h + 1] = spec[h:]
+    return np.fft.irfft2(out, s=(n, n))
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """n-by-n sample grid on the unit square torus, spacing 1/n.
@@ -290,6 +335,9 @@ class VortexSolution:
     or the integral obstruction, which certificate names.
     Indeterminate means Newton stopped short of the gate above the
     threshold, and certificate says why it stopped and how far E fell.
+    spectral_tail is 4*pi^2*(n/2)^2 times the largest |v_k| over the modes
+    with max(|kx|, |ky|) >= n/2 - 1: below tol, the grid resolves v to
+    the gate.
     """
 
     v: np.ndarray
@@ -309,6 +357,10 @@ class VortexSolution:
     @property
     def feasible(self) -> bool:
         return self.status is SolveStatus.FEASIBLE
+
+    @property
+    def spectral_tail(self) -> float:
+        return _tail(_amplitudes(self.v), self.v.shape[0])
 
 
 def _newton_direction(
@@ -374,13 +426,56 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
     +G/2.  The linear case phi_sq = 0 and the integral obstruction a >= 0
     are decided without iterating; every other problem goes to damped
     Newton, which tests its start against the gate even when max_iter = 0.
+
+    Newton's start at n comes from the coarsest grid that resolves the
+    problem (nested iteration: Briggs-Henson-McCormick, A Multigrid
+    Tutorial, 2000, ch. 3).  The levels are m = n/2^j, even and >= 16.  A
+    field is resolved at m when _tail, the gate's bound on what the modes
+    at and past the coarse grid's outer shell add to G, is below tol.
+    Newton runs on the coarsest m that resolves phi_sq, whose samples there
+    are phi_sq[::n//m, ::n//m].  While its v is not resolved at m, m doubles
+    and Newton goes on from the padded v.  Once it is, v is zero-padded in
+    the spectrum to n and polished there.  Newton starts at n from c0 when
+    no level resolves phi_sq (band profiles and other non-smooth
+    couplings) or when a coarse level ends short of its gate.  The gate
+    at n decides every verdict.  max_iter bounds the Newton steps of the
+    whole solve, summed over all grids, and iterations reports that sum.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     proof = _obstruction(p, _forcing(p))
-    return proof if proof is not None else _newton(p, tol, max_iter)
+    if proof is not None:
+        return proof
+    return _newton(p, tol, max_iter, *_coarse_start(p, tol, max_iter))
+
+
+def _coarse_start(
+    p: VortexProblem, tol: float, max_iter: int
+) -> Tuple[Optional[np.ndarray], int]:
+    """Newton's start at n and the steps spent on coarser grids, or
+    (None, steps) to start from c0; see solve."""
+    n = m = p.grid.n
+    while m % 4 == 0 and m // 2 >= 16:
+        m //= 2
+    if m < n:
+        amp = _amplitudes(p.phi_sq)
+        while m < n and _tail(amp, m) >= tol:
+            m *= 2
+    v, spent = None, 0
+    while m < n:
+        coarse = VortexProblem(TorusGrid(m), p.d1, p.d2, p.tau, p.tau_prime,
+                               p.phi_sq[::n // m, ::n // m])
+        sol = _newton(coarse, tol, max_iter, v, spent)
+        spent = sol.iterations
+        if not sol.feasible:
+            return None, spent
+        if _tail(_amplitudes(sol.v), m) < tol:
+            return _pad(sol.v, n), spent
+        m *= 2
+        v = _pad(sol.v, m)
+    return v, spent
 
 
 def _forcing(p: VortexProblem) -> float:
@@ -440,7 +535,13 @@ def _coupling(c0: float, psi: np.ndarray, v: np.ndarray) -> np.ndarray:
     return psi * np.exp(2.0 * (v - c0), out=np.zeros_like(psi), where=psi > 0)
 
 
-def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
+def _newton(
+    p: VortexProblem,
+    tol: float,
+    max_iter: int,
+    start: Optional[np.ndarray] = None,
+    spent: int = 0,
+) -> VortexSolution:
     """Damped Newton descent on the energy of the reduced scalar equation.
 
     E(v) = mean(v*(-lap v))/2 + a*mean(v) + mean(phi_sq*e^{2v}) has
@@ -448,9 +549,12 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
     Hessian -lap + 4*phi_sq*e^{2v} _newton_direction inverts; each step
     backtracks on E until the Armijo condition holds.  solve calls it only
     for a < 0, where E is strictly convex and coercive, so this converges
-    from any start (Boyd-Vandenberghe 2004, 9.5).  It starts from the
-    constant c0 of _gauge, which balances the integral budget (the exact
-    solution for a constant phi_sq), and gates on G at the v it returns.
+    from any start (Boyd-Vandenberghe 2004, 9.5).  It starts from start,
+    by default the constant c0 of _gauge, which balances the integral
+    budget (the exact solution for a constant phi_sq), and gates on G at
+    the v it returns.  spent counts the steps already taken on coarser
+    grids: max_iter bounds spent plus the steps taken here, and iterations
+    and the certificate report that sum.
 
     The gate is sup|G| < tol, or sup|G| < 2*tol once the last step is below
     1e-9*(1 + sup|v|): a step that small only corrects the rounding of v,
@@ -466,14 +570,15 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
         coupling = _coupling(c0, psi, v)
         return coupling, grid.laplacian(v) - a - 2.0 * coupling
 
-    v = np.full(grid.shape, c0)
+    v = np.full(grid.shape, c0) if start is None else start
+    mean0 = c0 if start is None else float(start.mean())
     coupling, G = state(v)
     last_step = math.inf
     fall = 0.0
     reason = "budget spent"
 
-    # the gate is tested at each of the max_iter + 1 iterates, the start too
-    for iterations in range(max_iter + 1):
+    # the gate is tested at each iterate up to the max_iter-th, the start too
+    for iterations in range(spent, max_iter + 1):
         gsup = float(np.abs(G).max())
         if gsup < tol or (gsup < 2.0 * tol and last_step <= 1e-9 * (1.0 + np.abs(v).max())):
             return VortexSolution(v, 0.5 * gsup, iterations, SolveStatus.FEASIBLE)
@@ -507,7 +612,7 @@ def _newton(p: VortexProblem, tol: float, max_iter: int) -> VortexSolution:
         last_step = alpha * float(np.abs(delta).max())
         fall -= change
 
-    certificate = (f"{reason}: E fell by {fall:.6g}, mean(v) went from {c0:.6g} "
+    certificate = (f"{reason}: E fell by {fall:.6g}, mean(v) went from {mean0:.6g} "
                    f"to {float(v.mean()):.6g} in {iterations} steps")
     return VortexSolution(v, 0.5 * gsup, iterations, SolveStatus.INDETERMINATE, certificate)
 

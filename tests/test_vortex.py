@@ -1,3 +1,4 @@
+import collections
 import csv
 import itertools
 import math
@@ -28,7 +29,7 @@ from triplekit import (
     sweep_sigma,
     write_fields_csv,
 )
-from triplekit.vortex import TWO_PI, _newton_direction
+from triplekit.vortex import TWO_PI, _newton, _newton_direction, _pad
 
 from conftest import descent_witness, energy, identity_defect, smooth_field
 
@@ -767,6 +768,93 @@ def test_newton_direction_true_residual_at_large_n():
             defect = G - (-grid.laplacian(delta) + diag * delta)
             rel = np.linalg.norm(defect) / np.linalg.norm(G)
             assert rel < 1e-9, (n, name, rel)
+
+
+def test_pad_reproduces_the_coarse_samples():
+    # the band-limited interpolant: the coarse samples at the shared nodes,
+    # the coarse spectrum below m/2, nothing past it; (24, 48) has an even
+    # m/2 and (16, 256) pads by 16 in each direction
+    rng = np.random.default_rng(23)
+    for m, n in ((16, 256), (32, 64), (24, 48)):
+        f = rng.standard_normal((m, m))
+        padded = _pad(f, n)
+        assert padded.shape == (n, n)
+        assert np.abs(padded[:: n // m, :: n // m] - f).max() < 1e-14, (m, n)
+        coarse, fine = np.fft.fftshift(np.fft.fft2(f)) / m**2, np.fft.fftshift(np.fft.fft2(padded)) / n**2
+        inner = slice(n // 2 - m // 2 + 1, n // 2 + m // 2)
+        assert np.abs(fine[inner, inner] - coarse[1:, 1:]).max() < 1e-15, (m, n)
+        kx = np.abs(np.fft.fftfreq(n, 1.0 / n))
+        past = np.maximum(kx[:, None], kx[None, :]) > m // 2
+        assert np.abs(np.fft.fft2(padded))[past].max() / n**2 < 1e-15, (m, n)
+
+
+def _count_transforms(monkeypatch):
+    """Count rfft2 and irfft2 calls by the grid size of their real array,
+    and the grid size of each Newton direction."""
+    counts = collections.Counter()
+    directions = []
+
+    def counted(name, fn, size):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[name, size(args, out)] += 1
+            return out
+        monkeypatch.setattr(np.fft, name, wrapper)
+
+    counted("rfft2", np.fft.rfft2, lambda args, out: args[0].shape[0])
+    counted("irfft2", np.fft.irfft2, lambda args, out: out.shape[0])
+
+    def direction(grid, diag, G):
+        directions.append(grid.n)
+        return _newton_direction(grid, diag, G)
+    monkeypatch.setattr("triplekit.vortex._newton_direction", direction)
+    return counts, directions
+
+
+def test_solve_runs_newton_on_the_coarsest_grid_that_resolves_it(monkeypatch):
+    counts, directions = _count_transforms(monkeypatch)
+    # a cosine coupling is resolved at 16: every CG transform runs below n,
+    # and at n one rfft2 reads phi_sq's spectrum, one irfft2 pads the coarse
+    # v and one Laplacian pair gates it
+    p = build_problem(256, 1, 0, 2.0, CosineProfile(2.0, 1.4))
+    s = solve(p)
+    assert s.feasible and s.iterations > 0 and directions, s.iterations
+    assert max(directions) < 256 and min(directions) == 16, directions
+    assert counts["rfft2", 256] == 2 and counts["irfft2", 256] == 2, counts
+    assert sum(counts[k] for k in counts if k[1] < 256) >= 2 * len(directions), counts
+    assert s.spectral_tail < 1e-10
+    fine = _newton(p, 1e-10, 200)
+    assert fine.feasible
+    assert np.abs(s.v - fine.v).max() < 1e-12 * (1.0 + np.abs(fine.v).max())
+    # a band coupling has a kink, so no level resolves it: Newton runs at n
+    # from c0, exactly as a fine-only solve
+    counts.clear()
+    directions.clear()
+    p = build_problem(64, 1, 0, 2.0, BandProfile())
+    s = solve(p)
+    assert s.feasible and set(directions) == {64}
+    assert {size for _, size in counts} == {64}, counts
+    assert s.spectral_tail > 1e-10
+    fine = _newton(p, 1e-10, 200)
+    assert s.v.tobytes() == fine.v.tobytes()
+    assert (s.residual_sup, s.iterations, s.status, s.certificate) == (
+        fine.residual_sup, fine.iterations, fine.status, fine.certificate)
+
+
+def test_max_iter_bounds_the_steps_on_all_grids(monkeypatch):
+    _, directions = _count_transforms(monkeypatch)
+    p = build_problem(128, 0, 0, 2.0, CosineProfile(3.14159, 1.5))
+    for max_iter in range(4):
+        directions.clear()
+        s = solve(p, max_iter=max_iter)
+        assert s.iterations <= max_iter and len(directions) == s.iterations, (max_iter, directions)
+        if s.certificate is not None:
+            assert s.certificate.endswith(f" in {s.iterations} steps"), s.certificate
+    assert solve(p, max_iter=0).iterations == 0
+    directions.clear()
+    s = solve(p)
+    # the coarse grids take the steps, and they count
+    assert s.feasible and len(directions) == s.iterations and 128 not in directions
 
 
 def test_spectral_layer_runs_on_the_real_fft(monkeypatch):
