@@ -427,19 +427,19 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
     are decided without iterating; every other problem goes to damped
     Newton, which tests its start against the gate even when max_iter = 0.
 
-    Newton's start at n comes from the coarsest grid that resolves the
-    problem (nested iteration: Briggs-Henson-McCormick, A Multigrid
-    Tutorial, 2000, ch. 3).  The levels are m = n/2^j, even and >= 16.  A
-    field is resolved at m when _tail, the gate's bound on what the modes
-    at and past the coarse grid's outer shell add to G, is below tol.
-    Newton runs on the coarsest m that resolves phi_sq, whose samples there
-    are phi_sq[::n//m, ::n//m].  While its v is not resolved at m, m doubles
-    and Newton goes on from the padded v.  Once it is, v is zero-padded in
-    the spectrum to n and polished there.  Newton starts at n from c0 when
-    no level resolves phi_sq (band profiles and other non-smooth
-    couplings) or when a coarse level ends short of its gate.  The gate
-    at n decides every verdict.  max_iter bounds the Newton steps of the
-    whole solve, summed over all grids, and iterations reports that sum.
+    Newton starts on the coarsest grid that resolves the problem (nested
+    iteration: Briggs-Henson-McCormick, A Multigrid Tutorial, 2000, ch. 3).
+    The levels are m = n/2^j, even and >= 16.  A field is resolved at m
+    when _tail, the gate's bound on what the modes at and past the coarse
+    grid's outer shell add to G, is below tol.  Newton starts from c0 on
+    the coarsest m that resolves phi_sq, whose samples there are
+    phi_sq[::n//m, ::n//m], or at n when no level does (band profiles and
+    other non-smooth couplings).  Each coarse stop hands its v, zero-padded
+    in the spectrum, to the next level: 2m while v is feasible at m but not
+    resolved there, n otherwise, where a stop short of the gate goes on
+    with the budget it left.  The gate at n decides every verdict.
+    max_iter bounds the Newton steps of the whole solve, summed over all
+    grids, and iterations reports that sum.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -448,14 +448,6 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
     proof = _obstruction(p, _forcing(p))
     if proof is not None:
         return proof
-    return _newton(p, tol, max_iter, *_coarse_start(p, tol, max_iter))
-
-
-def _coarse_start(
-    p: VortexProblem, tol: float, max_iter: int
-) -> Tuple[Optional[np.ndarray], int]:
-    """Newton's start at n and the steps spent on coarser grids, or
-    (None, steps) to start from c0; see solve."""
     n = m = p.grid.n
     while m % 4 == 0 and m // 2 >= 16:
         m //= 2
@@ -468,14 +460,9 @@ def _coarse_start(
         coarse = VortexProblem(TorusGrid(m), p.d1, p.d2, p.tau, p.tau_prime,
                                p.phi_sq[::n // m, ::n // m])
         sol = _newton(coarse, tol, max_iter, v, spent)
-        spent = sol.iterations
-        if not sol.feasible:
-            return None, spent
-        if _tail(_amplitudes(sol.v), m) < tol:
-            return _pad(sol.v, n), spent
-        m *= 2
-        v = _pad(sol.v, m)
-    return v, spent
+        m = 2 * m if sol.feasible and sol.spectral_tail >= tol else n
+        v, spent = _pad(sol.v, m), sol.iterations
+    return _newton(p, tol, max_iter, v, spent)
 
 
 def _forcing(p: VortexProblem) -> float:
@@ -552,9 +539,10 @@ def _newton(
     from any start (Boyd-Vandenberghe 2004, 9.5).  It starts from start,
     by default the constant c0 of _gauge, which balances the integral
     budget (the exact solution for a constant phi_sq), and gates on G at
-    the v it returns.  spent counts the steps already taken on coarser
-    grids: max_iter bounds spent plus the steps taken here, and iterations
-    and the certificate report that sum.
+    the v it returns.  solve passes as start the padded v of a coarser
+    grid's stop, feasible or not, and as spent the steps taken there:
+    max_iter bounds spent plus the steps taken here, and iterations and
+    the certificate report that sum.
 
     The gate is sup|G| < tol, or sup|G| < 2*tol once the last step is below
     1e-9*(1 + sup|v|): a step that small only corrects the rounding of v,
@@ -571,7 +559,7 @@ def _newton(
         return coupling, grid.laplacian(v) - a - 2.0 * coupling
 
     v = np.full(grid.shape, c0) if start is None else start
-    mean0 = c0 if start is None else float(start.mean())
+    mean0 = float(v.mean())
     coupling, G = state(v)
     last_step = math.inf
     fall = 0.0

@@ -843,14 +843,20 @@ def test_solve_runs_newton_on_the_coarsest_grid_that_resolves_it(monkeypatch):
 
 def test_max_iter_bounds_the_steps_on_all_grids(monkeypatch):
     _, directions = _count_transforms(monkeypatch)
-    p = build_problem(128, 0, 0, 2.0, CosineProfile(3.14159, 1.5))
-    for max_iter in range(4):
-        directions.clear()
-        s = solve(p, max_iter=max_iter)
-        assert s.iterations <= max_iter and len(directions) == s.iterations, (max_iter, directions)
-        if s.certificate is not None:
-            assert s.certificate.endswith(f" in {s.iterations} steps"), s.certificate
-    assert solve(p, max_iter=0).iterations == 0
+    for n in (32, 128):
+        p = build_problem(n, 0, 0, 2.0, CosineProfile(3.14159, 1.5))
+        start = solve(p, max_iter=0)
+        assert start.iterations == 0
+        for max_iter in range(4):
+            directions.clear()
+            s = solve(p, max_iter=max_iter)
+            assert s.iterations <= max_iter and len(directions) == s.iterations, (max_iter, directions)
+            if s.certificate is not None:
+                assert s.certificate.endswith(f" in {s.iterations} steps"), s.certificate
+            if max_iter in (1, 2):
+                # a budget spent on a coarse grid hands its padded v to n
+                assert s.iterations == max_iter
+                assert s.residual_sup < 0.1 * start.residual_sup, (n, max_iter, s.residual_sup)
     directions.clear()
     s = solve(p)
     # the coarse grids take the steps, and they count
