@@ -36,13 +36,12 @@ from .stability import (
 from .chambers import (
     ChamberDecomposition,
     ParameterInterval,
-    ProjectivityFlags,
     enumerate_walls,
     fibration_bound,
     is_generic,
+    is_projective,
     moduli_dimension,
     parameter_interval,
-    projectivity_flags,
     sigma_interval,
     small_tau_window,
 )
@@ -76,13 +75,12 @@ __all__ = [
     "theta_tau",
     "ChamberDecomposition",
     "ParameterInterval",
-    "ProjectivityFlags",
     "enumerate_walls",
     "fibration_bound",
     "is_generic",
+    "is_projective",
     "moduli_dimension",
     "parameter_interval",
-    "projectivity_flags",
     "sigma_interval",
     "small_tau_window",
     "SlopeEquivalence",

@@ -78,7 +78,6 @@ def sigma_interval(T: TripleInvariants) -> ParameterInterval:
 class ChamberDecomposition:
     interval: ParameterInterval
     walls: List[Fraction]
-    coprime_generic: bool
 
 
 def _wall_equations(T: TripleInvariants, window: int):
@@ -118,11 +117,7 @@ def enumerate_walls(T: TripleInvariants, degree_window: int) -> ChamberDecomposi
             tau_c = Fraction(T.r2 * S - r2p * D, denom)
             if iv.contains(tau_c):
                 values.add(tau_c)
-    return ChamberDecomposition(
-        interval=iv,
-        walls=sorted(values),
-        coprime_generic=math.gcd(T.total_rank, T.total_degree) == 1,
-    )
+    return ChamberDecomposition(interval=iv, walls=sorted(values))
 
 
 def is_generic(T: TripleInvariants, tau: Fraction, degree_window: int) -> bool:
@@ -140,40 +135,39 @@ def is_generic(T: TripleInvariants, tau: Fraction, degree_window: int) -> bool:
     return True
 
 
-def moduli_dimension(T: TripleInvariants, genus: int) -> int:
-    """Expected dimension at a smooth point of the moduli space.
+def _chi(A: TripleInvariants, B: TripleInvariants, genus: int) -> int:
+    """chi(A1, B1) + chi(A2, B2) - chi(A2, B1): the Euler characteristic of
+    the hom complex from the triple A to the triple B, with
+    chi(E, F) = rk E*rk F*(1 - g) + rk E*deg F - rk F*deg E (Bradlow,
+    Garcia-Prada, Gothen (BGG), Math. Ann. 328 (2004) 299, Prop. 3.5)."""
 
-    1 + r2*d1 - r1*d2 + (r1^2 + r2^2 - r1*r2)(g - 1); invariant under the
-    duality swap of invariants.
-    """
+    def chi(rE: int, dE: int, rF: int, dF: int) -> int:
+        return rE * rF * (1 - genus) + rE * dF - rF * dE
+
+    return (chi(A.r1, A.d1, B.r1, B.d1) + chi(A.r2, A.d2, B.r2, B.d2)
+            - chi(A.r2, A.d2, B.r1, B.d1))
+
+
+def moduli_dimension(T: TripleInvariants, genus: int) -> int:
+    """Expected dimension 1 - chi(T, T) at a smooth point of the moduli
+    space (BGG 2004, Sect. 3); invariant under the duality swap."""
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
-    return (
-        1
-        + T.r2 * T.d1
-        - T.r1 * T.d2
-        + (T.r1 * T.r1 + T.r2 * T.r2 - T.r1 * T.r2) * (genus - 1)
-    )
+    return 1 - _chi(T, T, genus)
 
 
-@dataclass(frozen=True)
-class ProjectivityFlags:
-    quasi_projective: bool
-    projective: bool
+def is_projective(T: TripleInvariants, tau: Fraction, degree_window: int) -> bool:
+    """Whether the moduli space of tau-stable triples is projective.
 
-
-def projectivity_flags(
-    T: TripleInvariants, tau: Fraction, degree_window: int
-) -> ProjectivityFlags:
-    """Projectivity of the moduli space at a rational parameter value.
-
-    Quasi-projectivity is automatic for the rational parameters this
-    package works with; full projectivity additionally needs total rank
-    and total degree coprime and the parameter off every wall.
+    At a generic tau only a proper subtriple whose theta vanishes for every
+    tau can make a semistable triple strictly semistable: its ranks are
+    proportional to (r1, r2), and its degree sum is (d1 + d2)*k/gcd(r1, r2)
+    for some 0 < k < gcd(r1, r2).  None exists when gcd(r1, r2, d1 + d2)
+    is 1; then stable is semistable, whose moduli space is projective (BGG
+    2004, Sect. 3: generic tau and GCD(r2, r1 + r2, d1 + d2) = 1).  A tau
+    outside the admissible interval raises ParameterRangeError.
     """
-    generic = is_generic(T, tau, degree_window)
-    coprime = math.gcd(T.total_rank, T.total_degree) == 1
-    return ProjectivityFlags(quasi_projective=True, projective=coprime and generic)
+    return is_generic(T, tau, degree_window) and math.gcd(T.r1, T.r2, T.total_degree) == 1
 
 
 def small_tau_window(T: TripleInvariants) -> Fraction:

@@ -357,7 +357,10 @@ def vortex_solve(
     sol = solve(prob, tol=tol, max_iter=max_iter)
     payload = summary_json(prob, sol)
     if dump_path is not None:
-        write_fields_csv(dump_path, prob, sol)
+        try:
+            write_fields_csv(dump_path, prob, sol)
+        except OSError as exc:
+            raise ValueError(f"--dump-fields cannot be written: {exc}") from None
     _emit(payload, fmt)
     if sol.status is not SolveStatus.FEASIBLE:
         if sol.certificate:

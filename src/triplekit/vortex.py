@@ -455,14 +455,14 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
         amp = _amplitudes(p.phi_sq)
         while m < n and _tail(amp, m) >= tol:
             m *= 2
-    v, spent = None, 0
+    v, spent = None, None
     while m < n:
         coarse = VortexProblem(TorusGrid(m), p.d1, p.d2, p.tau, p.tau_prime,
                                p.phi_sq[::n // m, ::n // m])
-        sol = _newton(coarse, tol, max_iter, v, spent)
+        sol, spent = _newton(coarse, tol, max_iter, v, spent)
         m = 2 * m if sol.feasible and sol.spectral_tail >= tol else n
-        v, spent = _pad(sol.v, m), sol.iterations
-    return _newton(p, tol, max_iter, v, spent)
+        v = _pad(sol.v, m)
+    return _newton(p, tol, max_iter, v, spent)[0]
 
 
 def _forcing(p: VortexProblem) -> float:
@@ -527,8 +527,8 @@ def _newton(
     tol: float,
     max_iter: int,
     start: Optional[np.ndarray] = None,
-    spent: int = 0,
-) -> VortexSolution:
+    spent: Optional[Tuple[int, float, float]] = None,
+) -> Tuple[VortexSolution, Tuple[int, float, float]]:
     """Damped Newton descent on the energy of the reduced scalar equation.
 
     E(v) = mean(v*(-lap v))/2 + a*mean(v) + mean(phi_sq*e^{2v}) has
@@ -540,9 +540,11 @@ def _newton(
     by default the constant c0 of _gauge, which balances the integral
     budget (the exact solution for a constant phi_sq), and gates on G at
     the v it returns.  solve passes as start the padded v of a coarser
-    grid's stop, feasible or not, and as spent the steps taken there:
-    max_iter bounds spent plus the steps taken here, and iterations and
-    the certificate report that sum.
+    grid's stop, feasible or not, and as spent what the coarser grids
+    spent: their steps, their fall in E and mean(v) at the first start.
+    max_iter bounds their steps plus the steps taken here, and iterations
+    and the certificate report those sums.  It returns the solution and
+    the spent that goes on to the next grid.
 
     The gate is sup|G| < tol, or sup|G| < 2*tol once the last step is below
     1e-9*(1 + sup|v|): a step that small only corrects the rounding of v,
@@ -559,17 +561,17 @@ def _newton(
         return coupling, grid.laplacian(v) - a - 2.0 * coupling
 
     v = np.full(grid.shape, c0) if start is None else start
-    mean0 = float(v.mean())
+    steps, fall, mean0 = spent or (0, 0.0, float(v.mean()))
     coupling, G = state(v)
     last_step = math.inf
-    fall = 0.0
     reason = "budget spent"
 
     # the gate is tested at each iterate up to the max_iter-th, the start too
-    for iterations in range(spent, max_iter + 1):
+    for iterations in range(steps, max_iter + 1):
         gsup = float(np.abs(G).max())
         if gsup < tol or (gsup < 2.0 * tol and last_step <= 1e-9 * (1.0 + np.abs(v).max())):
-            return VortexSolution(v, 0.5 * gsup, iterations, SolveStatus.FEASIBLE)
+            sol = VortexSolution(v, 0.5 * gsup, iterations, SolveStatus.FEASIBLE)
+            return sol, (iterations, fall, mean0)
         if iterations == max_iter:
             break
 
@@ -602,7 +604,8 @@ def _newton(
 
     certificate = (f"{reason}: E fell by {fall:.6g}, mean(v) went from {mean0:.6g} "
                    f"to {float(v.mean()):.6g} in {iterations} steps")
-    return VortexSolution(v, 0.5 * gsup, iterations, SolveStatus.INDETERMINATE, certificate)
+    sol = VortexSolution(v, 0.5 * gsup, iterations, SolveStatus.INDETERMINATE, certificate)
+    return sol, (iterations, fall, mean0)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ from triplekit import (
     enumerate_walls,
     fibration_bound,
     is_generic,
+    is_projective,
     moduli_dimension,
     parameter_interval,
-    projectivity_flags,
     sigma_from_tau,
     sigma_interval,
     small_tau_window,
 )
+from triplekit.chambers import _chi
 
 from conftest import brute_force_walls, random_triple
 
@@ -72,7 +73,6 @@ def test_walls_example():
     dec = enumerate_walls(TripleInvariants(2, 1, 2, 0), 4)
     assert dec.walls == [Fraction(3, 2)]
     assert (dec.interval.lower, dec.interval.upper) == (1, 2)
-    assert dec.coprime_generic
 
 
 def test_walls_line_pair_windows():
@@ -168,6 +168,12 @@ def test_moduli_dimension_examples():
     assert moduli_dimension(TripleInvariants(2, 1, 2, 0), 2) == 6
     assert moduli_dimension(TripleInvariants(1, 1, 1, 0), 1) == 2
     assert moduli_dimension(TripleInvariants(1, 1, 1, 0), 0) == 1
+    # a line pair: g + d1 - d2 = 1 - chi(T, T)
+    rng = random.Random(5)
+    for _ in range(200):
+        T = random_triple(rng, max_rank=1)
+        g = rng.randint(0, 5)
+        assert moduli_dimension(T, g) == g + T.d1 - T.d2 == 1 - _chi(T, T, g)
     with pytest.raises(ValueError):
         moduli_dimension(TripleInvariants(1, 1, 1, 0), -1)
 
@@ -180,14 +186,61 @@ def test_moduli_dimension_duality():
         assert moduli_dimension(T, g) == moduli_dimension(dual_invariants(T), g)
 
 
+def test_chi_is_additive_and_dual():
+    # chi(A, B) = chi(B*, A*), of which criterion 9 is the case A = B, and
+    # chi is additive in each argument under the direct sum of triples
+    def plus(A, B):
+        return TripleInvariants(A.r1 + B.r1, A.r2 + B.r2, A.d1 + B.d1, A.d2 + B.d2)
+
+    rng = random.Random(23)
+    for _ in range(500):
+        A, A2, B = (random_triple(rng) for _ in range(3))
+        g = rng.randint(0, 5)
+        chi = _chi(A, B, g)
+        assert type(chi) is int
+        assert chi == _chi(dual_invariants(B), dual_invariants(A), g)
+        assert _chi(plus(A, A2), B, g) == chi + _chi(A2, B, g)
+        assert _chi(B, plus(A, A2), g) == _chi(B, A, g) + _chi(B, A2, g)
+
+
 def test_projectivity_examples():
     T = TripleInvariants(2, 1, 2, 0)
-    flags = projectivity_flags(T, Fraction(7, 5), 4)
-    assert flags.quasi_projective and flags.projective
-    flags = projectivity_flags(T, Fraction(3, 2), 4)
-    assert flags.quasi_projective and not flags.projective
-    flags = projectivity_flags(TripleInvariants(2, 2, 2, 0), Fraction(3, 2), 4)
-    assert flags.quasi_projective and not flags.projective
+    assert is_projective(T, Fraction(7, 5), 4) is True
+    assert is_projective(T, Fraction(3, 2), 4) is False
+    assert is_projective(TripleInvariants(2, 2, 2, 0), Fraction(3, 2), 4) is False
+    # generic, and no proper subtriple of a line pair has theta = 0 for every
+    # tau; gcd(r1 + r2, d1 + d2) = 2 is no obstruction
+    assert is_projective(TripleInvariants(1, 1, 1, 1), Fraction(3, 2), 30) is True
+    with pytest.raises(ParameterRangeError):
+        is_projective(T, 2, 4)
+
+
+def test_projective_exactly_without_a_tau_free_destabilizer():
+    # at a generic tau only a proper subobject whose theta vanishes for every
+    # tau can be strictly semistable; theta is identically 0 exactly when
+    # r1'*r2 = r2'*r1 and (d1' + d2')*(r1 + r2) = (d1 + d2)*(r1' + r2'),
+    # searched here over every degree in the window
+    W = 12
+    rng = random.Random(41)
+    counts = {True: 0, False: 0}
+    while sum(counts.values()) < 1000:
+        T = random_triple(rng, max_rank=4, max_deg=8)
+        iv = parameter_interval(T)
+        tau = iv.lower + Fraction(rng.randint(1, 48), rng.randint(1, 12))
+        if not iv.contains(tau) or not is_generic(T, tau, W):
+            continue
+        # a rank pair with a zero slot is proportional to (r1, r2) only at (0, 0)
+        ranks = [(r1p, r2p) for r1p in range(1, T.r1 + 1) for r2p in range(1, T.r2 + 1)
+                 if r1p * T.r2 == r2p * T.r1 and (r1p, r2p) != (T.r1, T.r2)]
+        tau_free = any(
+            (d1p + d2p) * (T.r1 + T.r2) == (T.d1 + T.d2) * (r1p + r2p)
+            for r1p, r2p in ranks
+            for d1p, d2p in itertools.product(range(-W, W + 1), repeat=2)
+        )
+        projective = is_projective(T, tau, W)
+        assert projective is not tau_free, (T, tau)
+        counts[projective] += 1
+    assert min(counts.values()) > 50, counts
 
 
 def test_small_tau_window_examples():

@@ -298,6 +298,19 @@ def test_vortex_solve_dump_fields(runner, tmp_path):
     assert len(lines) == 1 + 16 * 16
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_vortex_solve_dump_fields_unwritable_exits_two(runner, tmp_path, where):
+    # a path that cannot be written is an input error, not a verdict: the
+    # solve is feasible, and no JSON is printed
+    path = tmp_path / "missing" / "fields.csv" if where == "missing directory" else tmp_path
+    res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0",
+                               "--sigma", "2", "--profile", "constant:1",
+                               "--dump-fields", str(path)])
+    assert res.exit_code == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --dump-fields "), res.stderr
+
+
 def test_vortex_solve_rejects_bad_grid_and_profile(runner):
     res = runner.invoke(main, ["vortex-solve", "--n", "15", "--d1", "0", "--d2", "0",
                                "--sigma", "1", "--profile", "constant:1"])

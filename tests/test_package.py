@@ -40,3 +40,19 @@ def test_restated_numeric_names_are_gone():
     assert not hasattr(vortex, "integral_identity_check")
     assert "residual_l2" not in {f.name for f in dataclasses.fields(vortex.VortexSolution)}
     assert "feasible" not in {f.name for f in dataclasses.fields(vortex.SweepRow)}
+
+
+def test_restated_chamber_names_are_gone():
+    # quasi_projective was True on every input and coprime_generic restated
+    # a gcd: is_projective is the one projectivity answer
+    import dataclasses
+
+    from triplekit import chambers
+
+    for name in ("ProjectivityFlags", "projectivity_flags"):
+        assert name not in triplekit.__all__
+        assert not hasattr(triplekit, name)
+        assert not hasattr(chambers, name)
+    fields = {f.name for f in dataclasses.fields(chambers.ChamberDecomposition)}
+    assert "coprime_generic" not in fields
+    assert "is_projective" in triplekit.__all__

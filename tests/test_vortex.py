@@ -823,7 +823,7 @@ def test_solve_runs_newton_on_the_coarsest_grid_that_resolves_it(monkeypatch):
     assert counts["rfft2", 256] == 2 and counts["irfft2", 256] == 2, counts
     assert sum(counts[k] for k in counts if k[1] < 256) >= 2 * len(directions), counts
     assert s.spectral_tail < 1e-10
-    fine = _newton(p, 1e-10, 200)
+    fine, _ = _newton(p, 1e-10, 200)
     assert fine.feasible
     assert np.abs(s.v - fine.v).max() < 1e-12 * (1.0 + np.abs(fine.v).max())
     # a band coupling has a kink, so no level resolves it: Newton runs at n
@@ -835,7 +835,7 @@ def test_solve_runs_newton_on_the_coarsest_grid_that_resolves_it(monkeypatch):
     assert s.feasible and set(directions) == {64}
     assert {size for _, size in counts} == {64}, counts
     assert s.spectral_tail > 1e-10
-    fine = _newton(p, 1e-10, 200)
+    fine, _ = _newton(p, 1e-10, 200)
     assert s.v.tobytes() == fine.v.tobytes()
     assert (s.residual_sup, s.iterations, s.status, s.certificate) == (
         fine.residual_sup, fine.iterations, fine.status, fine.certificate)
@@ -845,6 +845,8 @@ def test_max_iter_bounds_the_steps_on_all_grids(monkeypatch):
     _, directions = _count_transforms(monkeypatch)
     for n in (32, 128):
         p = build_problem(n, 0, 0, 2.0, CosineProfile(3.14159, 1.5))
+        # the starting constant balances the integral budget
+        c0 = 0.5 * math.log(TWO_PI * (p.sigma - p.d1 + p.d2) / (2.0 * p.phi_sq.mean()))
         start = solve(p, max_iter=0)
         assert start.iterations == 0
         for max_iter in range(4):
@@ -854,9 +856,15 @@ def test_max_iter_bounds_the_steps_on_all_grids(monkeypatch):
             if s.certificate is not None:
                 assert s.certificate.endswith(f" in {s.iterations} steps"), s.certificate
             if max_iter in (1, 2):
-                # a budget spent on a coarse grid hands its padded v to n
+                # a budget spent on a coarse grid hands its padded v to n, and
+                # the certificate reports the steps taken there: E fell from
+                # the start at c0
                 assert s.iterations == max_iter
                 assert s.residual_sup < 0.1 * start.residual_sup, (n, max_iter, s.residual_sup)
+                m = re.search(r"E fell by (\S+), mean\(v\) went from (\S+) to", s.certificate)
+                assert m is not None, s.certificate
+                fall, mean0 = (float(g) for g in m.groups())
+                assert fall > 0 and mean0 == pytest.approx(c0, rel=1e-5), s.certificate
     directions.clear()
     s = solve(p)
     # the coarse grids take the steps, and they count
