@@ -89,8 +89,8 @@ def _tail(amp: np.ndarray, m: int) -> float:
     """4*pi^2*(m/2)^2 * max|f_k| over the modes with max(|kx|, |ky|) >= m/2 - 1.
 
     This bounds what the outer shell of an m-by-m grid, and every mode past
-    it, contributes to lap(f), so to G: below tol, the grid of size m
-    resolves f to the gate.  amp is _amplitudes(f) on any grid of size >= m.
+    it, contributes to lap(f): below tol, the grid of size m resolves f to
+    the gate.  amp is _amplitudes(f) on any grid of size >= m.
     """
     return 4.0 * np.pi**2 * (m // 2) ** 2 * float(amp[_ring(amp.shape[0]) >= m // 2 - 1].max())
 
@@ -307,13 +307,17 @@ def residual(p: VortexProblem, u1: np.ndarray, u2: np.ndarray) -> ResidualReport
         raise ValueError(
             f"field shapes {u1.shape}, {u2.shape} do not match grid {p.grid.shape}"
         )
-    coupling = _coupling(*_gauge(p, _forcing(p)), u1 - u2)
+    a = _forcing(p)
+    if a < 0 and p.phi_sq.max() > 0:
+        coupling = -0.5 * a * _coupling(*_gauge(p, a), u1 - u2)
+    else:
+        coupling = _coupling(0.0, p.phi_sq, u1 - u2)
     res1 = TWO_PI * p.d1 - p.grid.laplacian(u1) + coupling - TWO_PI * p.tau
     res2 = TWO_PI * p.d2 - p.grid.laplacian(u2) - coupling - TWO_PI * p.tau_prime
     sup = float(max(np.abs(res1).max(), np.abs(res2).max()))
     # scaled by sup before squaring, so defects near 1e200 do not overflow
-    scale = sup if 0.0 < sup < np.inf else 1.0
-    l2 = scale * float(np.sqrt(np.mean((res1 / scale) ** 2 + (res2 / scale) ** 2)))
+    unit = sup if 0.0 < sup < np.inf else 1.0
+    l2 = unit * float(np.sqrt(np.mean((res1 / unit) ** 2 + (res2 / unit) ** 2)))
     return ResidualReport(res1, res2, sup, l2)
 
 
@@ -364,13 +368,13 @@ class VortexSolution:
 
 
 def _newton_direction(
-    grid: TorusGrid, diag: np.ndarray, G: np.ndarray
+    grid: TorusGrid, lam: float, diag: np.ndarray, G: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Solve (-lap + diag) delta = G by preconditioned CG.
+    """Solve (-lam*lap + diag) delta = G by preconditioned CG.
 
-    diag = 4*phi_sq*e^{2v} >= 0 with positive mean, so the operator is
-    symmetric positive definite; the preconditioner M = -lap + mean(diag)
-    is inverted spectrally, dividing the rfft2 half spectrum by its symbol.
+    lam > 0 and diag >= 0 with positive mean, so the operator is symmetric
+    positive definite; the preconditioner M = -lam*lap + mean(diag) is
+    inverted spectrally, dividing the rfft2 half spectrum by its symbol.
     The operator is M + (diag - mean(diag)), so its product with the search
     direction p needs no Laplacian (Eisenstat, SIAM J. Sci. Stat. Comput.
     2 (1981) 1): p <- z + beta*p with M*z = r, hence s = M*p follows
@@ -383,7 +387,7 @@ def _newton_direction(
     direction.
     """
     dbar = float(diag.mean())
-    symbol = dbar - _half_multiplier(grid.n)
+    symbol = dbar - lam * _half_multiplier(grid.n)
     x = np.zeros_like(G)
     with np.errstate(all="ignore"):
         g_norm = np.linalg.norm(G)
@@ -429,17 +433,17 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
 
     Newton starts on the coarsest grid that resolves the problem (nested
     iteration: Briggs-Henson-McCormick, A Multigrid Tutorial, 2000, ch. 3).
-    The levels are m = n/2^j, even and >= 16.  A field is resolved at m
-    when _tail, the gate's bound on what the modes at and past the coarse
-    grid's outer shell add to G, is below tol.  Newton starts from c0 on
-    the coarsest m that resolves phi_sq, whose samples there are
-    phi_sq[::n//m, ::n//m], or at n when no level does (band profiles and
-    other non-smooth couplings).  Each coarse stop hands its v, zero-padded
-    in the spectrum, to the next level: 2m while v is feasible at m but not
-    resolved there, n otherwise, where a stop short of the gate goes on
-    with the budget it left.  The gate at n decides every verdict.
-    max_iter bounds the Newton steps of the whole solve, summed over all
-    grids, and iterations reports that sum.
+    The levels are m = n/2^j, even and >= 16.  A field f is resolved at m
+    when _tail, the bound on what the modes at and past the coarse grid's
+    outer shell add to lap(f), is below tol.  Newton starts from c0 on the
+    coarsest m that resolves rho_hat = phi_sq/mean(phi_sq), of order one at
+    every level, sampled there as phi_sq[::n//m, ::n//m], or at n when no
+    level does (band profiles and other non-smooth couplings).  Each
+    coarse stop hands its v, zero-padded in the spectrum, to the next
+    level: 2m while v is feasible at m but not resolved there, n otherwise,
+    where a stop short of the gate goes on with the budget it left.  The
+    gate at n decides every verdict.  max_iter bounds the Newton steps of
+    the whole solve, summed over all grids, and iterations reports that sum.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -452,7 +456,7 @@ def solve(p: VortexProblem, tol: float = 1e-10, max_iter: int = 200) -> VortexSo
     while m % 4 == 0 and m // 2 >= 16:
         m //= 2
     if m < n:
-        amp = _amplitudes(p.phi_sq)
+        amp = _amplitudes(_gauge(p, _forcing(p))[1])
         while m < n and _tail(amp, m) >= tol:
             m *= 2
     v, spent = None, None
@@ -499,27 +503,25 @@ def _obstruction(p: VortexProblem, a: float) -> Optional[VortexSolution]:
 
 
 def _gauge(p: VortexProblem, a: float) -> Tuple[float, np.ndarray]:
-    """Newton's start c0 and the coupling psi = phi_sq*e^{2*c0} there.
+    """Newton's start c0 and the coupling rho_hat = phi_sq/mean(phi_sq).
 
-    For a < 0 and a nonzero coupling e^{2*c0} = -a/(2*mean(phi_sq)) balances
-    the integral budget; otherwise the gauge is (0, phi_sq), in which
-    residual() evaluates its defect at a >= 0, where solve runs no Newton.
-    psi is built from rho = phi_sq/max(phi_sq) and c0 from logs, so no
-    coupling scale overflows them.  A constant phi_sq gives rho = 1, whose
-    pairwise sum is exact, so psi = -a/2 exactly.
+    For a < 0 and a nonzero coupling, e^{2*c0} = -a/(2*mean(phi_sq))
+    balances the integral budget, and phi_sq*e^{2v} = (|a|/2)*rho_hat*w,
+    w = e^{2(v - c0)}.  Both are built from rho = phi_sq/max(phi_sq) and
+    logs, so no coupling level overflows them; a constant phi_sq gives
+    rho = 1, whose pairwise sum is exact, so rho_hat = 1.  residual() forms
+    phi_sq*e^{2v} itself at a >= 0, where solve runs no Newton.
     """
     top = float(p.phi_sq.max())
-    if a >= 0 or top == 0.0:
-        return 0.0, p.phi_sq
     rho = p.phi_sq / top
-    scale = -0.5 * a / float(rho.mean())
-    return 0.5 * (math.log(scale) - math.log(top)), scale * rho
+    mean = float(rho.mean())
+    return 0.5 * (math.log(-0.5 * a) - math.log(mean) - math.log(top)), rho / mean
 
 
-def _coupling(c0: float, psi: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """phi_sq*e^{2v} as psi*e^{2(v - c0)}, exponentiated only where psi > 0,
-    so a vanishing coupling stays 0 however large v grows (never 0*inf)."""
-    return psi * np.exp(2.0 * (v - c0), out=np.zeros_like(psi), where=psi > 0)
+def _coupling(c0: float, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rho*e^{2(v - c0)}, exponentiated only where rho > 0, so a vanishing
+    coupling stays 0 however large v grows (never 0*inf)."""
+    return rho * np.exp(2.0 * (v - c0), out=np.zeros_like(rho), where=rho > 0)
 
 
 def _newton(
@@ -531,34 +533,38 @@ def _newton(
 ) -> Tuple[VortexSolution, Tuple[int, float, float]]:
     """Damped Newton descent on the energy of the reduced scalar equation.
 
-    E(v) = mean(v*(-lap v))/2 + a*mean(v) + mean(phi_sq*e^{2v}) has
-    gradient -G(v) = -lap(v) + a + 2*phi_sq*e^{2v}, and its
-    Hessian -lap + 4*phi_sq*e^{2v} _newton_direction inverts; each step
-    backtracks on E until the Armijo condition holds.  solve calls it only
-    for a < 0, where E is strictly convex and coercive, so this converges
-    from any start (Boyd-Vandenberghe 2004, 9.5).  It starts from start,
-    by default the constant c0 of _gauge, which balances the integral
-    budget (the exact solution for a constant phi_sq), and gates on G at
-    the v it returns.  solve passes as start the padded v of a coarser
-    grid's stop, feasible or not, and as spent what the coarser grids
-    spent: their steps, their fall in E and mean(v) at the first start.
-    max_iter bounds their steps plus the steps taken here, and iterations
-    and the certificate report those sums.  It returns the solution and
-    the spent that goes on to the next grid.
+    solve calls it only for a < 0.  With lam = 1/|a| and _gauge's (c0,
+    rho_hat), it solves Ghat(v) = G(v)/|a| = lam*lap(v) + 1 - rho_hat*w = 0,
+    w = e^{2(v - c0)}.  Ghat is minus the gradient of Ehat(v) = lam*E(v) =
+    lam*mean(v*(-lap v))/2 - mean(v) + mean(rho_hat*w)/2, which is strictly
+    convex and coercive, so Newton converges from any start
+    (Boyd-Vandenberghe 2004, 9.5): _newton_direction inverts the Hessian
+    -lam*lap + 2*rho_hat*w, and each step backtracks on Ehat until the
+    Armijo condition holds.  It starts from start, by default the constant
+    c0, which balances the integral budget (the exact solution for a
+    constant phi_sq), and gates on G at the v it returns.  solve passes as
+    start the padded v of a coarser grid's stop, feasible or not, and as
+    spent what the coarser grids spent: their steps, their fall in Ehat and
+    mean(v) at the first start.  max_iter bounds their steps plus the steps
+    taken here, and iterations and the certificate report those sums.  It
+    returns the solution and the spent that goes on to the next grid.
 
-    The gate is sup|G| < tol, or sup|G| < 2*tol once the last step is below
-    1e-9*(1 + sup|v|): a step that small only corrects the rounding of v,
-    so the upper half of the gate waits for that floor.  Any other stop is
-    indeterminate, with a certificate naming the reason and reporting the
-    fall in E, mean(v) at the start and at the end, and the step count.
+    The gate is sup|G| = sup|Ghat|/lam < tol, or < 2*tol once the last step
+    is below 1e-9*(1 + sup|v|): a step that small only corrects the
+    rounding of v, so the upper half of the gate waits for that floor.  Any
+    other stop is indeterminate, with a certificate naming the reason and
+    reporting the fall in E = Ehat/lam, mean(v) at the start and at the
+    end, and the step count.
     """
     grid = p.grid
     a = _forcing(p)
-    c0, psi = _gauge(p, a)
+    # 1/|a| overflows at a subnormal gap, where sup|G| at c0 is far below tol
+    lam = min(-1.0 / a, np.finfo(float).max)
+    c0, rho = _gauge(p, a)
 
     def state(v):
-        coupling = _coupling(c0, psi, v)
-        return coupling, grid.laplacian(v) - a - 2.0 * coupling
+        coupling = _coupling(c0, rho, v)
+        return coupling, lam * grid.laplacian(v) + 1.0 - coupling
 
     v = np.full(grid.shape, c0) if start is None else start
     steps, fall, mean0 = spent or (0, 0.0, float(v.mean()))
@@ -568,28 +574,28 @@ def _newton(
 
     # the gate is tested at each iterate up to the max_iter-th, the start too
     for iterations in range(steps, max_iter + 1):
-        gsup = float(np.abs(G).max())
+        gsup = float(np.abs(G).max()) / lam
         if gsup < tol or (gsup < 2.0 * tol and last_step <= 1e-9 * (1.0 + np.abs(v).max())):
             sol = VortexSolution(v, 0.5 * gsup, iterations, SolveStatus.FEASIBLE)
             return sol, (iterations, fall, mean0)
         if iterations == max_iter:
             break
 
-        delta = _newton_direction(grid, 4.0 * coupling, G)
+        delta = _newton_direction(grid, lam, 2.0 * coupling, G)
         if delta is None:
             reason = "CG non-finite direction"
             break
 
-        # E(v + alpha*delta) - E(v), expanded around v so that no two
+        # Ehat(v + alpha*delta) - Ehat(v), expanded around v so that no two
         # nearly equal energies are subtracted; a step that overflows
         # gives inf or nan and is rejected
         slope = float(np.mean(G * delta))
-        curvature = -float(np.mean(delta * grid.laplacian(delta)))
+        curvature = -lam * float(np.mean(delta * grid.laplacian(delta)))
         alpha = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             for _bt in range(9):
                 t = 2.0 * alpha * delta
-                change = alpha * (0.5 * alpha * curvature - slope) + float(
+                change = alpha * (0.5 * alpha * curvature - slope) + 0.5 * float(
                     np.mean(coupling * (np.expm1(t) - t)))
                 if change <= -1e-4 * alpha * slope:
                     break
@@ -602,7 +608,7 @@ def _newton(
         last_step = alpha * float(np.abs(delta).max())
         fall -= change
 
-    certificate = (f"{reason}: E fell by {fall:.6g}, mean(v) went from {mean0:.6g} "
+    certificate = (f"{reason}: E fell by {fall / lam:.6g}, mean(v) went from {mean0:.6g} "
                    f"to {float(v.mean()):.6g} in {iterations} steps")
     sol = VortexSolution(v, 0.5 * gsup, iterations, SolveStatus.INDETERMINATE, certificate)
     return sol, (iterations, fall, mean0)

@@ -287,6 +287,25 @@ def test_vortex_solve_indeterminate_prints_why_it_stopped(runner):
     assert lines[0].endswith(" in 1 steps")
 
 
+def test_vortex_solve_forcing_near_the_float_range_is_indeterminate(runner):
+    # 2*pi*(d1 - d2 - sigma) = -1.26e308: G and the Newton operator once
+    # overflowed here, with two RuntimeWarnings and then exit 2.  Newton
+    # solves G/|a|, whose terms are of order one, but the absolute gate
+    # cannot be met, since the rounding of G alone is eps*|a| = 2.8e292
+    args = ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0", "--sigma", "2e307",
+            "--profile", "cosine:1:0.9"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, args)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    assert res.exit_code == 1, res.output
+    payload = _strict_json(res.stdout)
+    assert payload["status"] == "indeterminate", payload
+    assert math.isfinite(payload["residual_sup"]), payload
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("certificate: "), res.stderr
+
+
 def test_vortex_solve_dump_fields(runner, tmp_path):
     out = tmp_path / "fields.csv"
     res = runner.invoke(main, ["vortex-solve", "--n", "16", "--d1", "0", "--d2", "0",
